@@ -38,6 +38,7 @@ from .theory import (
     ir_case2,
     strategy_variance,
     theoretical_ir,
+    theory_curve,
 )
 from .regimes import (
     AcfPoint,

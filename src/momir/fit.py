@@ -22,7 +22,7 @@ from scipy import optimize
 
 from .strategy import IrCurve, ir_matrix
 from .simulate import InfeasibleTargets, ma_from_target_acf, path_rng, square_wave
-from .theory import MomentProfile, theoretical_ir, correlation_matrix, PSD_TOLERANCE
+from .theory import MomentProfile, realizability_violation, theory_curve
 from .timeseries import atomic_write_text
 
 __all__ = ["FitResult", "fit_moment_profile", "fit_square_wave", "write_fit_result_json"]
@@ -71,32 +71,20 @@ def _warn_if_overfitting(n_points: int, n_params: int) -> None:
         )
 
 
-def _psd_violation(rho: np.ndarray) -> float:
-    """How far the autocorrelation sequence is from realizable (0 if fine)."""
-    excess = float(np.sum(np.maximum(np.abs(rho) - 1.0, 0.0)))
-    if excess > 0.0:
-        return excess
-    size = len(rho) + 1
-    matrix = correlation_matrix(rho, size)
-    lam = float(np.linalg.eigvalsh(matrix)[0])
-    return max(0.0, -lam - PSD_TOLERANCE)
-
-
 def fit_moment_profile(
     empirical: IrCurve,
     k_lags: int = 10,
     fixed_sd: float = 1.5,
-    max_iter: int = 2000,
-    max_restarts: int = 6,
 ) -> FitResult:
     """Fit drift plus the first ``k_lags`` autocorrelations to an IR curve.
 
-    The variance is held fixed at ``fixed_sd**2``.  A Nelder-Mead simplex
-    search starts from drift = (curve tail level) * fixed_sd and all
-    autocorrelations zero; unrealizable correlation sequences are rejected
-    with a penalty.  The simplex is restarted around the incumbent until the
-    improvement stalls or ``max_restarts`` rounds pass, each round capped at
-    ``max_iter`` iterations.
+    The variance is held fixed at ``fixed_sd**2``.  One trust-region
+    least-squares solve of the residual vector (closed-form IR minus the
+    empirical IR at every defined lookback) starts from drift = (curve tail
+    level) * fixed_sd and all autocorrelations zero, with each
+    autocorrelation bounded to [-1, 1].  Unrealizable correlation sequences
+    get a large residual that grows with the violation.  ``iterations``
+    counts every residual evaluation, finite-difference ones included.
     """
     if fixed_sd <= 0:
         raise ValueError("fixed_sd must be positive")
@@ -109,56 +97,34 @@ def fit_moment_profile(
         )
     _warn_if_overfitting(len(ns), k_lags + 1)
     variance = fixed_sd * fixed_sd
+    evaluations = 0
 
-    def objective(theta: np.ndarray) -> float:
-        mu, rho = theta[0], theta[1:]
-        violation = _psd_violation(rho)
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
+        violation = realizability_violation(theta[1:])
         if violation > 0.0:
-            return 1e6 * (1.0 + violation)
-        profile = MomentProfile(mu=float(mu), variance=variance, autocorr=tuple(rho))
-        model = np.array([theoretical_ir(profile, int(n)).ir for n in ns])
-        diff = model - irs
-        return float(diff @ diff)
+            return np.full(len(ns), 1e3 * (1.0 + violation))
+        profile = MomentProfile(mu=float(theta[0]), variance=variance, autocorr=theta[1:])
+        return theory_curve(profile, ns)[2] - irs
 
     tail = float(np.mean(irs[-min(5, len(irs)) :]))
     start = np.zeros(1 + k_lags)
     start[0] = tail * fixed_sd
-    best_x, best_f = start, objective(start)
-    evaluations = 0
-    converged = False
-    for _ in range(max_restarts):
-        res = optimize.minimize(
-            objective,
-            best_x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": max_iter,
-                "xatol": 1e-10,
-                "fatol": 1e-14,
-                "adaptive": True,
-            },
-        )
-        evaluations += res.nfev
-        improved = res.fun < best_f - 1e-15 * (1.0 + abs(best_f))
-        if res.fun < best_f:
-            best_x, best_f = res.x, float(res.fun)
-        if res.success and not improved:
-            converged = True
-            break
-        if res.success and best_f < 1e-20:
-            converged = True
-            break
-    mu_hat = float(best_x[0])
-    rho_hat = tuple(float(r) for r in best_x[1:])
-    profile = MomentProfile(mu=mu_hat, variance=variance, autocorr=rho_hat)
-    fitted = np.array([theoretical_ir(profile, int(n)).ir for n in ns])
+    bounds = (np.r_[-np.inf, -np.ones(k_lags)], np.r_[np.inf, np.ones(k_lags)])
+    res = optimize.least_squares(
+        residuals, start, bounds=bounds, xtol=1e-15, ftol=1e-15, gtol=1e-15
+    )
+    mu_hat = float(res.x[0])
+    rho_hat = tuple(float(r) for r in res.x[1:])
+    fitted = theory_curve(MomentProfile(mu=mu_hat, variance=variance, autocorr=rho_hat), ns)[2]
     parameters = {"mu": mu_hat}
     parameters.update({f"rho_{k}": r for k, r in enumerate(rho_hat, start=1)})
     return FitResult(
         parameters=parameters,
-        rss=best_f,
+        rss=float(res.fun @ res.fun),
         iterations=evaluations,
-        converged=converged,
+        converged=bool(res.success),
         fitted_n=ns,
         fitted_ir=fitted,
         settings={
@@ -254,8 +220,9 @@ def fit_square_wave(
     scored by a seeded common-random-numbers Monte Carlo estimate of the model
     IR curve at the empirical lookbacks; see :class:`_SquareWaveObjective`.
     ``length`` defaults to the series length implied by the curve's sample
-    counts.  Raises if the period grid is empty or ``max_evaluations``
-    Monte Carlo evaluations are exhausted.
+    counts, which must then satisfy samples + n = length on every row, as on
+    a curve written by ``ir``.  Raises if the period grid is empty or
+    ``max_evaluations`` Monte Carlo evaluations are exhausted.
     """
     if noise_kind not in ("iid", "ma_targets"):
         raise ValueError(f"noise_kind must be 'iid' or 'ma_targets', got {noise_kind!r}")
@@ -268,9 +235,17 @@ def fit_square_wave(
         raise ValueError(f"empty or invalid period grid from t_range={t_range}")
     ns, irs = _curve_points(empirical)
     if length is None:
-        length = int(empirical.samples[0] + empirical.n[0])
-    if length <= int(ns[-1]):
-        raise ValueError(f"series length {length} too short for lookback {int(ns[-1])}")
+        implied = np.unique(empirical.samples + empirical.n)
+        if len(implied) != 1:
+            raise ValueError(
+                "the curve's samples + n differ between rows, so they do not give "
+                "the series length; pass it with --length"
+            )
+        length = int(implied[0])
+    if length - int(ns[-1]) < 2:
+        raise ValueError(
+            f"series length {length} leaves fewer than two payoffs at lookback {int(ns[-1])}"
+        )
     if amplitude_max is None:
         amplitude_max = max(10.0 * abs(mu_fixed), 0.5 * sigma_fixed)
 
@@ -359,7 +334,7 @@ def fit_result_json_text(result: FitResult) -> str:
             "ir": [float(v) for v in result.fitted_ir],
         },
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_fit_result_json(path: str, result: FitResult) -> None:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .strategy import IrCurve, Z95, ir_curve
+from .strategy import IrCurve, Z95, ir_curve, ir_standard_error
 from .timeseries import NormalizedReturnSeries, ReturnSeries, atomic_write_text, format_value
 
 __all__ = [
@@ -94,56 +94,49 @@ def _fit_segment(y: np.ndarray, start: int, end: int) -> Segment:
     )
 
 
-def _cost_matrix(y: np.ndarray, min_segment: int) -> np.ndarray:
-    """cost[i, j] = SSE of a line over [i, j); inf where j - i < min_segment.
+# Elements in one column block of the segment-cost matrix; the block width is
+# this over the row count, so segmentation memory stays O(n) however long the
+# series is.
+COST_BLOCK_ELEMENTS = 2**18
 
-    Closed-form from prefix sums, O(n^2) total; rows are computed in blocks to
-    bound peak memory.
+
+def _dp_tables(y: np.ndarray, min_segment: int, max_breaks: int) -> tuple[np.ndarray, np.ndarray]:
+    """opt[k, j]: minimal SSE splitting [0, j) into k+1 segments; argt backtracks.
+
+    The cost of a line over [i, j) (inf where j - i < min_segment) comes in
+    closed form from prefix sums.  It is made one block of columns j at a
+    time, and every break count is advanced over that block before the next:
+    opt[k, j] needs opt[k - 1, i] only for i < j, so the (n+1)^2 cost matrix
+    is never held.  Callers pass the series shifted to start at zero, which
+    keeps the prefix sums small and makes the costs independent of the level.
     """
     n = len(y)
     x = np.arange(n, dtype=float)
-    px = np.concatenate([[0.0], np.cumsum(x)])
-    py = np.concatenate([[0.0], np.cumsum(y)])
-    pxx = np.concatenate([[0.0], np.cumsum(x * x)])
-    pxy = np.concatenate([[0.0], np.cumsum(x * y)])
-    pyy = np.concatenate([[0.0], np.cumsum(y * y)])
-    cost = np.full((n + 1, n + 1), np.inf)
-    block = 512
-    j = np.arange(n + 1, dtype=float)
-    for i0 in range(0, n + 1, block):
-        i1 = min(i0 + block, n + 1)
-        i = np.arange(i0, i1, dtype=float)[:, None]
-        length = j[None, :] - i
+    px, py, pxx, pxy, pyy = (
+        np.concatenate([[0.0], np.cumsum(v)]) for v in (x, y, x * x, x * y, y * y)
+    )
+    opt = np.full((max_breaks + 1, n + 1), np.inf)
+    argt = np.zeros((max_breaks + 1, n + 1), dtype=int)
+    width = max(1, COST_BLOCK_ELEMENTS // (n + 1))
+    for j0 in range(0, n + 1, width):
+        j1 = min(j0 + width, n + 1)
+        i = np.arange(j1, dtype=float)[:, None]
+        length = np.arange(j0, j1, dtype=float)[None, :] - i
         with np.errstate(invalid="ignore", divide="ignore"):
-            sx = px[None, :] - px[i0:i1, None]
-            sy = py[None, :] - py[i0:i1, None]
-            sxx = pxx[None, :] - pxx[i0:i1, None]
-            sxy = pxy[None, :] - pxy[i0:i1, None]
-            syy = pyy[None, :] - pyy[i0:i1, None]
+            sx, sy, sxx, sxy, syy = (
+                p[None, j0:j1] - p[:j1, None] for p in (px, py, pxx, pxy, pyy)
+            )
             cxx = sxx - sx * sx / length
             cxy = sxy - sx * sy / length
             cyy = syy - sy * sy / length
             sse = cyy - cxy * cxy / cxx
-        valid = length >= min_segment
-        chunk = np.where(valid, np.maximum(sse, 0.0), np.inf)
-        cost[i0:i1, :] = chunk
-    return cost
-
-
-def _dp_tables(cost: np.ndarray, max_breaks: int) -> tuple[np.ndarray, np.ndarray]:
-    """opt[k, j]: minimal SSE splitting [0, j) into k+1 segments; argt backtracks."""
-    n1 = cost.shape[0]
-    opt = np.full((max_breaks + 1, n1), np.inf)
-    argt = np.zeros((max_breaks + 1, n1), dtype=int)
-    opt[0] = cost[0]
-    block = 512
-    for k in range(1, max_breaks + 1):
-        prev = opt[k - 1][:, None]
-        for j0 in range(0, n1, block):
-            j1 = min(j0 + block, n1)
-            cand = prev + cost[:, j0:j1]
+        cost = np.where(length >= min_segment, np.maximum(sse, 0.0), np.inf)
+        opt[0, j0:j1] = cost[0]
+        columns = np.arange(j1 - j0)
+        for k in range(1, max_breaks + 1):
+            cand = opt[k - 1, :j1, None] + cost
             t = np.argmin(cand, axis=0)
-            opt[k, j0:j1] = cand[t, np.arange(j1 - j0)]
+            opt[k, j0:j1] = cand[t, columns]
             argt[k, j0:j1] = t
     return opt, argt
 
@@ -175,8 +168,7 @@ def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
         raise ValueError(
             f"series of length {len(y)} cannot hold {n_breaks + 1} segments of >= {min_segment}"
         )
-    cost = _cost_matrix(y, min_segment)
-    opt, argt = _dp_tables(cost, n_breaks)
+    opt, argt = _dp_tables(y - y[0], min_segment, n_breaks)
     if not np.isfinite(opt[n_breaks, len(y)]):
         raise ValueError(f"no admissible placement of {n_breaks} breaks")
     return _build_segmentation(y, _backtrack(argt, n_breaks, len(y)))
@@ -206,17 +198,19 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
         raise ValueError("max_breaks must be >= 1")
     max_breaks = min(max_breaks, feasible_max)
 
-    cost = _cost_matrix(y, min_segment)
-    opt, argt = _dp_tables(cost, max_breaks)
+    # Everything that chooses the breaks sees the series shifted to start at
+    # zero, so adding a constant that keeps the values exact cannot move them.
+    z = y - y[0]
+    opt, argt = _dp_tables(z, min_segment, max_breaks)
     n = len(y)
-    scale = math.sqrt(float(np.mean(y * y))) if n else 1.0
+    scale = math.sqrt(float(np.mean(z * z)))
     floor = n * (1e-13 * max(1.0, scale)) ** 2
     best_k, best_bic, best_breaks = None, math.inf, []
     for k in range(max_breaks + 1):
         if not np.isfinite(opt[k, n]):
             continue
         breaks = _backtrack(argt, k, n)
-        refit_sse = _build_segmentation(y, breaks).rss
+        refit_sse = _build_segmentation(z, breaks).rss
         bic = n * math.log(max(refit_sse, floor) / n) + (3 * k + 2) * math.log(n)
         if bic < best_bic:
             best_k, best_bic, best_breaks = k, bic, breaks
@@ -334,7 +328,7 @@ def regime_stats(
         acf_se=acf1.se95,
         max_ir_annualized=float(ann[best]),
         max_ir_lookback=int(curve.n[best]),
-        ir_se=Z95 * math.sqrt(periods_per_year) / math.sqrt(weeks),
+        ir_se=ir_standard_error(weeks, periods_per_year),
         classification=RegimeCase.CASE_I if int(curve.n[best]) > threshold_n else RegimeCase.CASE_II,
         curve=curve,
     )

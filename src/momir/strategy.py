@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -106,6 +107,17 @@ def signal(x, n: int, t: int) -> float:
     return float(values[t - n + 1 : t + 1].mean())
 
 
+def _payoffs(x: np.ndarray, ns) -> Iterator[np.ndarray]:
+    """Payoffs m_{t-1}(N) * X_t along the last axis of ``x``, for each N in turn.
+
+    Window sums are differences of one prefix sum, shared by every lookback.
+    """
+    length = x.shape[-1]
+    prefix = np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+    for n in ns:
+        yield (prefix[..., n:length] - prefix[..., : length - n]) / n * x[..., n:]
+
+
 def backtest(x, n: int) -> StrategyPayoffs:
     """Payoffs m_{t-1}(N) * X_t for every t with a full lookback window.
 
@@ -117,9 +129,7 @@ def backtest(x, n: int) -> StrategyPayoffs:
         raise ValueError("lookback N must be >= 1")
     if len(values) <= n:
         raise ValueError(f"series of length {len(values)} too short for lookback {n}")
-    windows = np.lib.stride_tricks.sliding_window_view(values[:-1], n)
-    m = windows.sum(axis=1) / n
-    return StrategyPayoffs(lookback=n, payoffs=m * values[n:], start=n)
+    return StrategyPayoffs(lookback=n, payoffs=next(_payoffs(values, [n])), start=n)
 
 
 def ir_standard_error(samples: int, periods_per_year: float) -> float:
@@ -134,17 +144,21 @@ def ir_standard_error(samples: int, periods_per_year: float) -> float:
 DEGENERATE_SD_RTOL = 1e-12
 
 
-def _defined_sd(sd, mean):
-    return (sd > 0.0) & (sd > DEGENERATE_SD_RTOL * np.abs(mean))
+def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row payoff mean, sample sd and IR at each lookback, each (rows, len(ns)).
 
-
-def _payoff_stats(payoffs: np.ndarray) -> tuple[float, float, float]:
-    """(mean, sample sd, ir) with ir NaN when the spread is zero or degenerate."""
-    mean = float(payoffs.mean())
-    if len(payoffs) < 2:
-        return mean, math.nan, math.nan
-    sd = float(payoffs.std(ddof=1))
-    ir = mean / sd if _defined_sd(sd, mean) else math.nan
+    The sd is NaN with fewer than two payoffs; the IR is NaN where the sd is
+    undefined, zero or degenerate.
+    """
+    mean = np.empty((x.shape[0], len(ns)))
+    sd = np.full_like(mean, np.nan)
+    for i, pays in enumerate(_payoffs(x, ns)):
+        mean[:, i] = pays.mean(axis=1)
+        if pays.shape[1] >= 2:
+            sd[:, i] = pays.std(axis=1, ddof=1)
+    defined = (sd > 0.0) & (sd > DEGENERATE_SD_RTOL * np.abs(mean))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ir = np.where(defined, mean / sd, np.nan)
     return mean, sd, ir
 
 
@@ -161,16 +175,9 @@ def ir_curve(x, n_range: tuple[int, int], periods_per_year: float = 52.0) -> IrC
     if periods_per_year <= 0:
         raise ValueError("periods_per_year must be positive")
     ns = np.arange(n_min, n_max + 1)
-    mean = np.empty(len(ns))
-    sd = np.empty(len(ns))
-    ir = np.empty(len(ns))
-    stderr = np.empty(len(ns))
-    samples = np.empty(len(ns), dtype=int)
-    for i, n in enumerate(ns):
-        pays = backtest(values, int(n)).payoffs
-        mean[i], sd[i], ir[i] = _payoff_stats(pays)
-        samples[i] = len(pays)
-        stderr[i] = ir_standard_error(len(pays), periods_per_year)
+    mean, sd, ir = (v[0] for v in _ir_stats(values[None, :], ns))
+    samples = len(values) - ns
+    stderr = [ir_standard_error(int(s), periods_per_year) for s in samples]
     return IrCurve(
         n=ns, mean=mean, sd=sd, ir=ir, stderr=stderr, samples=samples,
         periods_per_year=periods_per_year,
@@ -187,29 +194,18 @@ def annualize(ir_per_period: float, periods_per_year: float) -> float:
 def ir_matrix(x_matrix: np.ndarray, lookbacks) -> np.ndarray:
     """Per-row IR at each requested lookback, over a (rows, length) matrix.
 
-    Vectorized equivalent of running ``ir_curve`` on every row; window sums
-    use prefix sums, so values may differ from ``backtest`` in the last few
-    bits (the agreement is asserted in tests).  Returns an array of shape
-    (rows, len(lookbacks)) with NaN where the payoff sd vanishes.
+    The same statistics as running ``ir_curve`` on every row.  Returns an
+    array of shape (rows, len(lookbacks)) with NaN where the payoff sd
+    vanishes.
     """
     x = np.asarray(x_matrix, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a 2-d matrix of series")
-    rows, length = x.shape
+    length = x.shape[1]
     ns = np.asarray(lookbacks, dtype=int)
     if ns.size == 0 or ns.min() < 1 or ns.max() >= length:
         raise ValueError(f"lookbacks must lie in [1, {length - 1}], got {ns!r}")
-    prefix = np.concatenate([np.zeros((rows, 1)), np.cumsum(x, axis=1)], axis=1)
-    out = np.empty((rows, len(ns)))
-    for i, n in enumerate(int(v) for v in ns):
-        m = (prefix[:, n:length] - prefix[:, : length - n]) / n
-        pays = m * x[:, n:]
-        mean = pays.mean(axis=1)
-        sd = pays.std(axis=1, ddof=1) if pays.shape[1] >= 2 else np.full(rows, np.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ir = np.where(_defined_sd(sd, mean), mean / sd, np.nan)
-        out[:, i] = ir
-    return out
+    return _ir_stats(x, ns)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ __all__ = [
     "expected_return",
     "strategy_variance",
     "theoretical_ir",
+    "theory_curve",
+    "realizability_violation",
     "ir_case1",
     "ir_case2",
     "correlation_matrix",
@@ -53,14 +55,24 @@ def correlation_matrix(autocorr: Sequence[float], size: int) -> np.ndarray:
     return full[idx]
 
 
+def realizability_violation(autocorr: Sequence[float]) -> float:
+    """How far the Toeplitz correlation matrix is from realizable; 0 when it is.
+
+    Realizable means positive semi-definite up to ``PSD_TOLERANCE``: the
+    smallest eigenvalue is at least -PSD_TOLERANCE.
+    """
+    matrix = correlation_matrix(autocorr, len(autocorr) + 1)
+    return max(0.0, -float(np.linalg.eigvalsh(matrix)[0]) - PSD_TOLERANCE)
+
+
 @dataclass(frozen=True)
 class MomentProfile:
     """Stationary process parameters: drift, variance, and autocorrelations.
 
     Lags beyond the stored horizon are treated as zero.  Construction fails if
     the variance is not positive, any |rho(k)| exceeds 1, or the implied
-    (K+1)x(K+1) Toeplitz correlation matrix is not realizable (a Cholesky
-    factorization of R + tol*I must succeed).
+    (K+1)x(K+1) Toeplitz correlation matrix is not realizable (see
+    :func:`realizability_violation`).
     """
 
     mu: float
@@ -76,15 +88,11 @@ class MomentProfile:
         for k, r in enumerate(self.autocorr, start=1):
             if not math.isfinite(r) or abs(r) > 1.0:
                 raise ValueError(f"autocorrelation at lag {k} out of [-1, 1]: {r}")
-        size = len(self.autocorr) + 1
-        matrix = correlation_matrix(self.autocorr, size)
-        try:
-            np.linalg.cholesky(matrix + PSD_TOLERANCE * np.eye(size))
-        except np.linalg.LinAlgError:
+        if realizability_violation(self.autocorr) > 0.0:
             raise ValueError(
                 "autocorrelation sequence is not realizable: Toeplitz correlation "
                 "matrix is not positive semi-definite"
-            ) from None
+            )
 
     def rho(self, lag: int) -> float:
         """rho(lag) with the beyond-horizon lags equal to zero."""
@@ -103,46 +111,57 @@ class TheoreticalIr:
     ir: float
 
 
-def _rho_sums(autocorr: Sequence[float], n: int) -> tuple[float, float]:
-    """S1 = sum of rho(1..N); S2 = ordered-pair sum of rho(|i-j|), i != j."""
-    rho = np.asarray(autocorr, dtype=float)[: n]
-    s1 = float(rho.sum())
-    if n > 1 and rho.size:
-        lags = np.arange(1, len(rho[: n - 1]) + 1)
-        s2 = 2.0 * float(((n - lags) * rho[: n - 1]).sum())
-    else:
-        s2 = 0.0
-    return s1, s2
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
+def _check_lookbacks(ns) -> np.ndarray:
+    ns = np.asarray(ns, dtype=int)
+    if ns.size == 0 or ns.min() < 1:
         raise ValueError("lookback N must be >= 1")
+    return ns
+
+
+def _rho_sums(autocorr: Sequence[float], ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S1 = sum of rho(1..N); S2 = ordered-pair sum of rho(|i-j|), i != j.
+
+    Both come from cumulative sums over the lags, for every N at once:
+    S2 = 2 * sum_{d<N} (N-d) rho(d) = 2 * (N * C0(N-1) - C1(N-1)) with
+    C0(m) = sum_{d<=m} rho(d) and C1(m) = sum_{d<=m} d rho(d).
+    """
+    rho = np.zeros(int(ns.max()))
+    k = min(len(autocorr), len(rho))
+    rho[:k] = autocorr[:k]
+    c0 = np.concatenate([[0.0], np.cumsum(rho)])
+    c1 = np.concatenate([[0.0], np.cumsum(np.arange(1, len(rho) + 1) * rho)])
+    return c0[ns], 2.0 * (ns * c0[ns - 1] - c1[ns - 1])
+
+
+def theory_curve(profile: MomentProfile, ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form (E[R], Var(R), IR) at every lookback in ``ns``, as arrays.
+
+    Var(R) is exact for a multivariate-Gaussian X; IR = E[R] / sqrt(Var(R)).
+    """
+    ns = _check_lookbacks(ns)
+    mu2 = profile.mu * profile.mu
+    v = profile.variance
+    s1, s2 = _rho_sums(profile.autocorr, ns)
+    mean = mu2 + v / ns * s1
+    base = v * mu2 + v * v / ns + mu2 * v / ns
+    variance = base + (v * v * (s1 * s1 + s2) + mu2 * v * (2.0 * ns * s1 + s2)) / (ns * ns)
+    return mean, variance, mean / np.sqrt(variance)
 
 
 def expected_return(profile: MomentProfile, n: int) -> float:
     """E[R] = mu^2 + (V/N) * sum of the first N autocorrelations."""
-    _check_n(n)
-    s1, _ = _rho_sums(profile.autocorr, n)
-    return profile.mu * profile.mu + profile.variance / n * s1
+    return theoretical_ir(profile, n).mean
 
 
 def strategy_variance(profile: MomentProfile, n: int) -> float:
     """Var(R) of the one-period payoff, exact for a multivariate-Gaussian X."""
-    _check_n(n)
-    mu2 = profile.mu * profile.mu
-    v = profile.variance
-    s1, s2 = _rho_sums(profile.autocorr, n)
-    base = v * mu2 + v * v / n + mu2 * v / n
-    corr = (v * v * (s1 * s1 + s2) + mu2 * v * (2.0 * n * s1 + s2)) / (n * n)
-    return base + corr
+    return theoretical_ir(profile, n).variance
 
 
 def theoretical_ir(profile: MomentProfile, n: int) -> TheoreticalIr:
     """Closed-form IR = E[R] / sqrt(Var(R)) at lookback N."""
-    mean = expected_return(profile, n)
-    variance = strategy_variance(profile, n)
-    return TheoreticalIr(n=n, mean=mean, variance=variance, ir=mean / math.sqrt(variance))
+    mean, variance, ir = (float(v[0]) for v in theory_curve(profile, [n]))
+    return TheoreticalIr(n=n, mean=mean, variance=variance, ir=ir)
 
 
 def ir_case1(mu: float, variance: float, n: int) -> float:
@@ -151,7 +170,7 @@ def ir_case1(mu: float, variance: float, n: int) -> float:
     mu^2 / sqrt(V mu^2 + V^2/N + mu^2 V / N); strictly increasing in N and
     approaching |mu|/sqrt(V).  Zero drift gives exactly 0 for finite N.
     """
-    _check_n(n)
+    _check_lookbacks([n])
     if not (variance > 0.0):
         raise ValueError("variance must be positive")
     mu2 = mu * mu
@@ -163,8 +182,7 @@ def ir_case2(autocorr: Sequence[float], n: int) -> float:
 
     S1 / sqrt(N + S1^2 + S2); independent of the process variance.
     """
-    _check_n(n)
-    s1, s2 = _rho_sums(tuple(float(r) for r in autocorr), n)
+    s1, s2 = (float(v[0]) for v in _rho_sums(autocorr, _check_lookbacks([n])))
     return s1 / math.sqrt(n + s1 * s1 + s2)
 
 
@@ -177,13 +195,12 @@ def theory_curve_csv_text(profile: MomentProfile, n_range: tuple[int, int]) -> s
     n_min, n_max = int(n_range[0]), int(n_range[1])
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad lookback range [{n_min}, {n_max}]")
+    ns = np.arange(n_min, n_max + 1)
     buf = io.StringIO()
     buf.write("n,mean,variance,ir\n")
-    for n in range(n_min, n_max + 1):
-        t = theoretical_ir(profile, n)
-        buf.write(
-            f"{n},{format_value(t.mean)},{format_value(t.variance)},{format_value(t.ir)}\n"
-        )
+    mean, variance, ir = theory_curve(profile, ns)
+    for n, m, v, r in zip(ns.tolist(), mean.tolist(), variance.tolist(), ir.tolist()):
+        buf.write(f"{n},{format_value(m)},{format_value(v)},{format_value(r)}\n")
     return buf.getvalue()
 
 

@@ -38,7 +38,6 @@ class Period(str, enum.Enum):
 
     DAILY = "daily"
     WEEKLY = "weekly"
-    MONTHLY = "monthly"
 
 
 def _check_dates(dates: Sequence[dt.date], what: str) -> None:

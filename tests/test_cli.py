@@ -1,11 +1,13 @@
 import datetime as dt
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momir.cli import main
+from momir.cli import _build_parser, main
 from momir.simulate import IidGaussian, SquareWaveDrift, dump_process_spec
 from momir.strategy import read_ir_curve_csv
 from momir.timeseries import write_series_csv
@@ -234,6 +236,25 @@ class TestFitCommand:
         assert payload["settings"]["model"] == "squarewave"
         assert {"t_wave", "amplitude"} <= set(payload["parameters"])
 
+    def test_squarewave_fit_of_averaged_curve_names_length(self, tmp_path, capsys):
+        # samples counts regimes on an averaged curve, not payoffs
+        rng = np.random.default_rng(5)
+        n = 30 * 52
+        drift = np.where(np.arange(n) < n // 2, 0.02, -0.015)
+        src = tmp_path / "returns.csv"
+        write_series_csv(str(src), weekly_dates(dt.date(1970, 1, 2), n),
+                         drift + 0.02 * rng.standard_normal(n))
+        curve_out = tmp_path / "avg.csv"
+        assert main(["regimes", "--input", str(src), "--output", str(tmp_path / "r.csv"),
+                     "--output-curve", str(curve_out), "--n-max", "43"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "wavefit.json"
+        code = main(["fit", "--input", str(curve_out), "--output", str(out),
+                     "--model", "squarewave", "--mu-fixed", "0.02", "--seed", "1"])
+        assert code == 1
+        assert "--length" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLogging:
     def test_momir_log_env_controls_verbosity(self, tmp_path, returns_csv, monkeypatch, caplog):
@@ -265,3 +286,46 @@ class TestTheoryCommand:
                      "--variance", "1", "--rho", "1.5", "--n-max", "3"])
         assert code == 1
         assert "out of" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> dict[str, list[str]]:
+    """README's `momir` command lines as argv, keyed by subcommand (and fit model)."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    commands = {}
+    for line in text.splitlines():
+        if line.startswith("momir "):
+            argv = shlex.split(line)[1:]
+            key = argv[0]
+            if key == "fit":
+                key += " " + argv[argv.index("--model") + 1]
+            commands[key] = argv
+    return commands
+
+
+class TestReadme:
+    def test_walkthrough_runs_as_written(self, tmp_path, monkeypatch):
+        commands = readme_commands()
+        assert set(commands) == {
+            "ingest", "ir", "regimes", "theory", "simulate", "fit stationary", "fit squarewave",
+        }
+        # 30 years of business days: drift regimes with MA(1) daily noise
+        rng = np.random.default_rng(21)
+        days = daily_dates(dt.date(1985, 1, 1), 30 * 261)
+        drift = np.repeat(rng.normal(3e-4, 8e-4, 15), -(-len(days) // 15))[: len(days)]
+        eps = rng.standard_normal(len(days) + 1)
+        prices = 100.0 * np.exp(np.cumsum(drift + 0.01 * (eps[1:] + 0.3 * eps[:-1])))
+        write_prices(tmp_path / "prices.csv", days, prices)
+        monkeypatch.chdir(tmp_path)
+        for key in ("ingest", "ir", "regimes", "fit stationary", "theory"):
+            assert main(commands[key]) == 0, key
+        for name in ("returns.csv", "ir.csv", "regimes.csv", "avg_ir.csv", "fit.json",
+                     "theory.csv"):
+            assert (tmp_path / name).exists(), name
+        # a full simulate or square-wave fit takes 15-35 s: parse them only
+        parser = _build_parser()
+        parser.parse_args(commands["simulate"])
+        wave = parser.parse_args(commands["fit squarewave"])
+        assert wave.input == parser.parse_args(commands["ir"]).output

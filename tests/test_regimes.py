@@ -1,8 +1,11 @@
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momir.regimes import (
     RegimeCase,
@@ -70,6 +73,42 @@ class TestDetectBreakpoints:
         rss = [best_segmentation(y, k, 10).rss for k in range(0, 5)]
         for a, b in zip(rss, rss[1:]):
             assert b <= a + 1e-9
+
+
+class TestShiftInvariance:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(24, 60),
+        st.integers(-2**40, 2**40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_level_shift_keeps_breaks(self, seed, n, shift):
+        # a drifting walk and a shift, both on a 2^-10 grid: y + c is exact,
+        # so it must segment exactly like y
+        walk = np.cumsum(np.random.default_rng(seed).normal(0.5, 2.0, n))
+        y = np.round(walk * 2.0**10) * 2.0**-10
+        c = shift * 2.0**-10
+        a = detect_breakpoints(y, min_segment=4)
+        b = detect_breakpoints(y + c, min_segment=4)
+        assert a.breakpoints == b.breakpoints
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_large_level_keeps_breaks(self, seed):
+        y = np.cumsum(np.random.default_rng(seed).normal(0.01, 1, 300))
+        assert detect_breakpoints(y + 1e7).breakpoints == detect_breakpoints(y).breakpoints
+
+
+def test_segmentation_memory_is_not_quadratic():
+    # The (n+1)^2 float64 cost matrix alone is 68.7 MiB at n = 3000.  The
+    # break cap keeps the run short; the cost matrix does not depend on it.
+    y = np.cumsum(np.random.default_rng(8).normal(0.01, 1, 3000))
+    tracemalloc.start()
+    try:
+        detect_breakpoints(y, min_segment=12, max_breaks=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3001**2 * 8
 
 
 class TestDpOptimality:

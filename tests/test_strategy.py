@@ -155,6 +155,18 @@ class TestIrCurve:
         with pytest.raises(ValueError, match="max lookback"):
             ir_curve(np.ones(5), (1, 5))
 
+    def test_long_lookbacks_match_double_loop_oracle(self):
+        # prefix-sum window means under drift, far beyond the windows above
+        x = 0.15 + np.random.default_rng(13).standard_normal(6000)
+        curve = ir_curve(x, (1, 400))
+        for n in (1, 2, 43, 200, 400):
+            want = double_loop_backtest(x, n)
+            mean, sd = want.mean(), want.std(ddof=1)
+            got = curve.n == n
+            assert curve.mean[got][0] == pytest.approx(mean, rel=1e-12)
+            assert curve.sd[got][0] == pytest.approx(sd, rel=1e-12)
+            assert curve.ir[got][0] == pytest.approx(mean / sd, rel=1e-12)
+
 
 class TestIrMatrix:
     def test_matches_per_series_curve(self):

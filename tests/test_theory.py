@@ -7,6 +7,7 @@ from momir.theory import (
     expected_return,
     ir_case1,
     ir_case2,
+    realizability_violation,
     strategy_variance,
     theoretical_ir,
     theory_curve_csv_text,
@@ -45,6 +46,31 @@ class TestMomentProfile:
 
     def test_boundary_sequence_allowed(self):
         MomentProfile(0.0, 1.0, (1.0,))  # perfectly persistent is still valid
+
+    # Sequences scaled so the smallest eigenvalue of their Toeplitz matrix
+    # lies within 2.3e-15 of -PSD_TOLERANCE.  An eigenvalue gate and a
+    # Cholesky factorization of R + tol*I judged each of them differently,
+    # so a fit candidate could pass its gate and then fail construction.
+    EDGE_SEQUENCES = [
+        (0.3573242350443403, 0.06567454092582005, 0.0263180032195689, -0.3090099955097716,
+         -0.26416395990534586, 0.021904891443060077, 0.17526034246165217,
+         0.39068246743657337, -0.18519022495265364, -0.06001159379096654),
+        (-0.3012757768044186, 0.001533563130210503, -0.001870581253489711,
+         -0.31348900755792763, 0.03657955584163542, -0.0629898552259393,
+         -0.0556372351493843, -0.012182567417053862, 0.09898722467687776,
+         0.22990565382279873),
+    ]
+
+    @pytest.mark.parametrize("rho", EDGE_SEQUENCES)
+    def test_edge_sequence_judged_by_the_fit_predicate(self, rho):
+        accepted = realizability_violation(rho) == 0.0
+        try:
+            MomentProfile(0.0, 1.0, rho)
+        except ValueError as exc:
+            assert "not realizable" in str(exc)
+            assert not accepted
+        else:
+            assert accepted
 
     def test_rho_beyond_horizon_is_zero(self):
         p = MomentProfile(0.0, 1.0, (0.3,))
@@ -90,7 +116,7 @@ class TestStrategyVariance:
     @pytest.mark.parametrize("mu,variance,rho", PROFILES)
     def test_matches_literal_double_sums(self, mu, variance, rho):
         p = MomentProfile(mu, variance, rho)
-        for n in (1, 2, 3, 7, 12):
+        for n in (1, 2, 3, 7, 12, 43, 400):
             assert strategy_variance(p, n) == pytest.approx(
                 eq_variance_literal(mu, variance, rho, n), rel=1e-13
             )
