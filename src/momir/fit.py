@@ -21,7 +21,10 @@ import numpy as np
 from scipy import optimize
 
 from .strategy import IrCurve, ir_matrix
-from .simulate import InfeasibleTargets, ma_from_target_acf, path_rng, square_wave
+from .simulate import (
+    IidGaussian, InfeasibleTargets, MovingAverage, ProcessSpec, SquareWaveDrift, innovations,
+    ma_from_target_acf, series,
+)
 from .theory import MomentProfile, realizability_violation, theory_curve
 from .timeseries import atomic_write_text
 
@@ -138,67 +141,6 @@ def fit_moment_profile(
     )
 
 
-class _SquareWaveObjective:
-    """Candidate scorer sharing one set of random draws across all parameters.
-
-    The innovation matrix is drawn once from the seed; every candidate series
-    is mu + A * wave(T) + noise built from those same draws, so re-evaluating
-    identical parameters is bit-stable and comparisons between candidates are
-    variance-reduced.
-    """
-
-    def __init__(
-        self,
-        ns: np.ndarray,
-        irs: np.ndarray,
-        mu: float,
-        sigma: float,
-        noise_kind: str,
-        paths: int,
-        length: int,
-        seed: int,
-        ma_horizon: int,
-    ) -> None:
-        self.ns = ns
-        self.irs = irs
-        self.mu = mu
-        self.sigma = sigma
-        self.noise_kind = noise_kind
-        self.length = length
-        self.ma_horizon = ma_horizon
-        self.evaluations = 0
-        extra = ma_horizon - 1 if noise_kind == "ma_targets" else 0
-        self.eta = np.stack(
-            [path_rng(seed, k).standard_normal(length + extra) for k in range(paths)]
-        )
-        self.t_grid = np.arange(1, length + 1, dtype=float)
-
-    def _noise(self, targets: Mapping[int, float]) -> np.ndarray:
-        if self.noise_kind == "iid":
-            return self.sigma * self.eta
-        coeffs = ma_from_target_acf(targets, self.ma_horizon, variance=1.0)
-        rows = [np.convolve(row, coeffs, mode="valid") for row in self.eta]
-        return self.sigma * np.stack(rows)
-
-    def score(self, t_wave: int, amplitude: float, targets: Mapping[int, float]) -> float:
-        self.evaluations += 1
-        wave = amplitude * square_wave(self.t_grid, float(t_wave))
-        try:
-            noise = self._noise(targets)
-        except InfeasibleTargets:
-            return 1e6
-        series = self.mu + wave[None, :] + noise
-        per_path = ir_matrix(series, self.ns)
-        model = per_path.mean(axis=0)
-        diff = model - self.irs
-        return float(diff @ diff)
-
-    def model_curve(self, t_wave: int, amplitude: float, targets: Mapping[int, float]) -> np.ndarray:
-        wave = amplitude * square_wave(self.t_grid, float(t_wave))
-        series = self.mu + wave[None, :] + self._noise(targets)
-        return ir_matrix(series, self.ns).mean(axis=0)
-
-
 def fit_square_wave(
     empirical: IrCurve,
     mu_fixed: float,
@@ -218,7 +160,9 @@ def fit_square_wave(
     cell, runs a derivative-free search over the amplitude (plus the target
     autocorrelations when ``noise_kind == 'ma_targets'``).  Candidates are
     scored by a seeded common-random-numbers Monte Carlo estimate of the model
-    IR curve at the empirical lookbacks; see :class:`_SquareWaveObjective`.
+    IR curve at the empirical lookbacks: every candidate series is built by
+    :func:`momir.simulate.series` from one innovation matrix drawn from the
+    seed, so re-scoring identical parameters is bit-stable.
     ``length`` defaults to the series length implied by the curve's sample
     counts, which must then satisfy samples + n = length on every row, as on
     a curve written by ``ir``.  Raises if the period grid is empty or
@@ -250,23 +194,37 @@ def fit_square_wave(
         amplitude_max = max(10.0 * abs(mu_fixed), 0.5 * sigma_fixed)
 
     ma_horizon = max(ma_lags) + 1
-    objective = _SquareWaveObjective(
-        ns=ns, irs=irs, mu=mu_fixed, sigma=sigma_fixed, noise_kind=noise_kind,
-        paths=paths, length=length, seed=seed, ma_horizon=ma_horizon,
-    )
 
-    def check_budget() -> None:
-        if objective.evaluations > max_evaluations:
-            raise RuntimeError(
-                f"Monte Carlo budget exhausted after {objective.evaluations} evaluations"
-            )
+    def noise(targets: Mapping[int, float]) -> ProcessSpec:
+        if noise_kind == "iid":
+            return IidGaussian(0.0, sigma_fixed)
+        return MovingAverage(0.0, ma_from_target_acf(targets, ma_horizon), sigma_fixed)
+
+    # Every candidate is built from one draw (common random numbers), as wide
+    # as the longest noise filter needs.
+    width = ma_horizon if noise_kind == "ma_targets" else 1
+    eta = innovations(MovingAverage(0.0, (1.0,) * width, sigma_fixed), paths, length, seed)
+    evaluations = 0
+
+    def model_curve(t_wave: int, amplitude: float, targets: Mapping[int, float]) -> np.ndarray:
+        spec = SquareWaveDrift(mu_fixed, amplitude, float(t_wave), noise(targets))
+        return ir_matrix(series(spec, eta), ns).mean(axis=0)
+
+    def score(t_wave: int, amplitude: float, targets: Mapping[int, float]) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        try:
+            diff = model_curve(t_wave, amplitude, targets) - irs
+        except InfeasibleTargets:
+            return 1e6
+        return float(diff @ diff)
 
     best: tuple[float, int, float, dict[int, float]] | None = None
     converged = True
     for t_wave in t_values:
         if noise_kind == "iid":
             res = optimize.minimize_scalar(
-                lambda a: objective.score(t_wave, a, {}),
+                lambda a: score(t_wave, a, {}),
                 bounds=(0.0, amplitude_max),
                 method="bounded",
                 options={"xatol": 1e-4 * amplitude_max, "maxiter": 200},
@@ -281,7 +239,7 @@ def fit_square_wave(
                 if a < 0 or a > amplitude_max:
                     return 1e6 * (1.0 + abs(a))
                 targets = {ma_lags[0]: float(theta[1]), ma_lags[1]: float(theta[2])}
-                return objective.score(t_wave, float(a), targets)
+                return score(t_wave, float(a), targets)
 
             res = optimize.minimize(
                 nm_obj,
@@ -292,7 +250,8 @@ def fit_square_wave(
             targets = {ma_lags[0]: float(res.x[1]), ma_lags[1]: float(res.x[2])}
             cell = (float(res.fun), t_wave, float(res.x[0]), targets)
             cell_ok = bool(res.success)
-        check_budget()
+        if evaluations > max_evaluations:
+            raise RuntimeError(f"Monte Carlo budget exhausted after {evaluations} evaluations")
         if best is None or cell[0] < best[0]:
             best = cell
             converged = cell_ok
@@ -300,11 +259,11 @@ def fit_square_wave(
     rss, t_hat, a_hat, targets_hat = best
     parameters = {"t_wave": float(t_hat), "amplitude": a_hat}
     parameters.update({f"rho_{lag}": v for lag, v in sorted(targets_hat.items())})
-    fitted = objective.model_curve(t_hat, a_hat, targets_hat)
+    fitted = model_curve(t_hat, a_hat, targets_hat)
     return FitResult(
         parameters=parameters,
         rss=rss,
-        iterations=objective.evaluations,
+        iterations=evaluations,
         converged=converged,
         fitted_n=ns,
         fitted_ir=fitted,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .strategy import IrCurve, Z95, ir_curve, ir_standard_error
-from .timeseries import NormalizedReturnSeries, ReturnSeries, atomic_write_text, format_value
+from .timeseries import NormalizedReturnSeries, ReturnSeries, write_csv
 
 __all__ = [
     "Segment",
@@ -107,7 +106,8 @@ def _dp_tables(y: np.ndarray, min_segment: int, max_breaks: int) -> tuple[np.nda
     closed form from prefix sums.  It is made one block of columns j at a
     time, and every break count is advanced over that block before the next:
     opt[k, j] needs opt[k - 1, i] only for i < j, so the (n+1)^2 cost matrix
-    is never held.  Callers pass the series shifted to start at zero, which
+    is never held, and level k scans only the rows i >= k * min_segment that
+    can hold a split.  Callers pass the series shifted to start at zero, which
     keeps the prefix sums small and makes the costs independent of the level.
     """
     n = len(y)
@@ -134,10 +134,15 @@ def _dp_tables(y: np.ndarray, min_segment: int, max_breaks: int) -> tuple[np.nda
         opt[0, j0:j1] = cost[0]
         columns = np.arange(j1 - j0)
         for k in range(1, max_breaks + 1):
-            cand = opt[k - 1, :j1, None] + cost
+            # k segments of >= min_segment end no earlier than row k * min_segment;
+            # opt[k - 1] is inf on every row above it.
+            first = k * min_segment
+            if first >= j1:
+                break
+            cand = opt[k - 1, first:j1, None] + cost[first:]
             t = np.argmin(cand, axis=0)
             opt[k, j0:j1] = cand[t, columns]
-            argt[k, j0:j1] = t
+            argt[k, j0:j1] = t + first
     return opt, argt
 
 
@@ -421,28 +426,13 @@ REGIME_REPORT_HEADER = [
 ]
 
 
-def regime_report_csv_text(stats: Sequence[RegimeStats]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(REGIME_REPORT_HEADER) + "\n")
-    for s in stats:
-        buf.write(
-            ",".join(
-                [
-                    s.start.isoformat() if s.start else "",
-                    s.end.isoformat() if s.end else "",
-                    str(s.weeks),
-                    format_value(s.acf1),
-                    format_value(s.acf_se),
-                    format_value(s.max_ir_annualized),
-                    format_value(s.ir_se),
-                    str(s.max_ir_lookback),
-                    s.classification.value,
-                ]
-            )
-            + "\n"
-        )
-    return buf.getvalue()
-
-
 def write_regime_report_csv(path: str, stats: Sequence[RegimeStats]) -> None:
-    atomic_write_text(path, regime_report_csv_text(stats))
+    rows = (
+        (
+            s.start.isoformat() if s.start else "", s.end.isoformat() if s.end else "", s.weeks,
+            s.acf1, s.acf_se, s.max_ir_annualized, s.ir_se, s.max_ir_lookback,
+            s.classification.value,
+        )
+        for s in stats
+    )
+    write_csv(path, REGIME_REPORT_HEADER, rows)

@@ -14,8 +14,7 @@ so paths can be evaluated in any order with identical results.
 
 from __future__ import annotations
 
-import csv
-import io
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from .strategy import ir_matrix
-from .timeseries import atomic_write_text, format_value
+from .timeseries import atomic_write_text, write_csv
 
 __all__ = [
     "IidGaussian",
@@ -34,6 +33,8 @@ __all__ = [
     "ProcessSpec",
     "McIrCurve",
     "generate",
+    "innovations",
+    "series",
     "path_rng",
     "theoretical_acf_of_ma",
     "ma_from_target_acf",
@@ -46,6 +47,12 @@ __all__ = [
 RNG_ALGORITHM = "Philox(4x64, 10 rounds)"
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class IidGaussian:
     """Independent draws: mu + sigma * z, z ~ N(0, 1)."""
@@ -54,7 +61,8 @@ class IidGaussian:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0 or not math.isfinite(self.sigma):
+        _require_finite(mu=self.mu, sigma=self.sigma)
+        if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
@@ -74,7 +82,9 @@ class MovingAverage:
         object.__setattr__(self, "coefficients", tuple(float(a) for a in self.coefficients))
         if not self.coefficients:
             raise ValueError("MA process needs at least one coefficient")
-        if self.sigma < 0 or not math.isfinite(self.sigma):
+        _require_finite(mu=self.mu, sigma=self.sigma)
+        _require_finite(**{f"coefficients[{k}]": a for k, a in enumerate(self.coefficients)})
+        if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
@@ -89,9 +99,10 @@ class SquareWaveDrift:
     mu: float
     amplitude: float
     t_wave: float
-    noise: "ProcessSpec"
+    noise: ProcessSpec
 
     def __post_init__(self) -> None:
+        _require_finite(mu=self.mu, amplitude=self.amplitude, t_wave=self.t_wave)
         if self.t_wave < 2:
             raise ValueError(f"t_wave must be >= 2 periods, got {self.t_wave}")
         if isinstance(self.noise, SquareWaveDrift):
@@ -117,25 +128,38 @@ def square_wave(t: np.ndarray, t_wave: float) -> np.ndarray:
     return np.where(phase <= t_wave / 2.0, 1.0, -1.0)
 
 
-def _generate(spec: ProcessSpec, length: int, rng: np.random.Generator) -> np.ndarray:
+def _width(spec: ProcessSpec, length: int) -> int:
+    """Draws behind one series of ``length``: an MA of K coefficients needs K - 1 more."""
+    noise = spec.noise if isinstance(spec, SquareWaveDrift) else spec
+    return length + (len(noise.coefficients) - 1 if isinstance(noise, MovingAverage) else 0)
+
+
+def innovations(spec: ProcessSpec, paths: int, length: int, seed) -> np.ndarray:
+    """Standard-normal draws behind ``paths`` series of ``length``, row k from path k's stream."""
+    return np.stack([path_rng(seed, k).standard_normal(_width(spec, length)) for k in range(paths)])
+
+
+def series(spec: ProcessSpec, eta: np.ndarray) -> np.ndarray:
+    """The process built from standard-normal innovations ``eta``, time on the last axis.
+
+    Equal innovations give bit-identical series, so a fit that varies the
+    parameters over one draw compares candidates with common random numbers.
+    """
     if isinstance(spec, IidGaussian):
-        return spec.mu + spec.sigma * rng.standard_normal(length)
+        return spec.mu + spec.sigma * eta
     if isinstance(spec, MovingAverage):
         a = np.asarray(spec.coefficients)
-        eta = rng.standard_normal(length + len(a) - 1)
-        return spec.mu + spec.sigma * np.convolve(eta, a, mode="valid")
-    if isinstance(spec, SquareWaveDrift):
-        t = np.arange(1, length + 1, dtype=float)
-        wave = spec.amplitude * square_wave(t, spec.t_wave)
-        return spec.mu + wave + _generate(spec.noise, length, rng)
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+        return spec.mu + spec.sigma * np.apply_along_axis(np.convolve, -1, eta, a, mode="valid")
+    noise = series(spec.noise, eta)
+    t = np.arange(1, noise.shape[-1] + 1, dtype=float)
+    return spec.mu + spec.amplitude * square_wave(t, spec.t_wave) + noise
 
 
 def generate(spec: ProcessSpec, length: int, seed) -> np.ndarray:
     """Draw one series of the given length; bit-identical for equal (spec, seed)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    return _generate(spec, length, path_rng(seed))
+    return series(spec, path_rng(seed).standard_normal(_width(spec, length)))
 
 
 def theoretical_acf_of_ma(coefficients, lag: int) -> float:
@@ -264,7 +288,7 @@ def mc_ir_curve(
 ) -> McIrCurve:
     """Average the per-path IR curve over independently seeded realizations.
 
-    Each path draws its own series (see module notes on seeding) and is run
+    Each path draws its own series (:func:`innovations`, :func:`series`) and is run
     through the momentum strategy at every lookback in the range; the MC
     standard error is the cross-path standard deviation over sqrt(paths).
     """
@@ -273,7 +297,7 @@ def mc_ir_curve(
         raise ValueError(f"length {length} too short for max lookback {n_max}")
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    x = np.stack([_generate(spec, length, path_rng(seed, k)) for k in range(paths)])
+    x = series(spec, innovations(spec, paths, length, seed))
     per_path = ir_matrix(x, np.arange(n_min, n_max + 1))
     ir_mean = per_path.mean(axis=0)
     if paths >= 2:
@@ -299,55 +323,57 @@ _VARIANTS = {
     "moving_average": MovingAverage,
     "square_wave_drift": SquareWaveDrift,
 }
+_VARIANT_NAMES = {cls: name for name, cls in _VARIANTS.items()}
 
 
 def spec_to_dict(spec: ProcessSpec) -> dict:
-    if isinstance(spec, IidGaussian):
-        return {"variant": "iid_gaussian", "mu": spec.mu, "sigma": spec.sigma}
-    if isinstance(spec, MovingAverage):
-        return {
-            "variant": "moving_average",
-            "mu": spec.mu,
-            "coefficients": list(spec.coefficients),
-            "sigma": spec.sigma,
-        }
-    if isinstance(spec, SquareWaveDrift):
-        return {
-            "variant": "square_wave_drift",
-            "mu": spec.mu,
-            "amplitude": spec.amplitude,
-            "t_wave": spec.t_wave,
-            "noise": spec_to_dict(spec.noise),
-        }
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+    out = {"variant": _VARIANT_NAMES[type(spec)]}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if f.type == "ProcessSpec":
+            value = spec_to_dict(value)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _number(where: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
 def spec_from_dict(data: dict) -> ProcessSpec:
+    """Decode a spec object; a missing, unknown or non-numeric field is an error.
+
+    Each field is read by its declared type: a number, a list of numbers or
+    a nested spec.  Finiteness and ranges are checked by the spec classes.
+    """
     if not isinstance(data, dict) or "variant" not in data:
         raise ValueError("process spec must be an object with a 'variant' field")
     variant = data["variant"]
-    if variant not in _VARIANTS:
+    if not isinstance(variant, str) or variant not in _VARIANTS:
         raise ValueError(
             f"unknown process variant {variant!r}; expected one of {sorted(_VARIANTS)}"
         )
-    fields = {k: v for k, v in data.items() if k != "variant"}
-    try:
-        if variant == "iid_gaussian":
-            return IidGaussian(mu=float(fields["mu"]), sigma=float(fields["sigma"]))
-        if variant == "moving_average":
-            return MovingAverage(
-                mu=float(fields["mu"]),
-                coefficients=tuple(float(a) for a in fields["coefficients"]),
-                sigma=float(fields["sigma"]),
-            )
-        return SquareWaveDrift(
-            mu=float(fields["mu"]),
-            amplitude=float(fields["amplitude"]),
-            t_wave=float(fields["t_wave"]),
-            noise=spec_from_dict(fields["noise"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"process spec {variant!r} is missing field {exc}") from None
+    fields = dataclasses.fields(_VARIANTS[variant])
+    unknown = sorted(set(data) - {"variant"} - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"process spec {variant!r} has unknown field {unknown[0]!r}")
+    values = {}
+    for f in fields:
+        where = f"process spec {variant!r} field {f.name!r}"
+        if f.name not in data:
+            raise ValueError(f"process spec {variant!r} is missing field {f.name!r}")
+        value = data[f.name]
+        if f.type == "ProcessSpec":
+            values[f.name] = spec_from_dict(value)
+        elif f.type == "float":
+            values[f.name] = _number(where, value)
+        elif isinstance(value, list):
+            values[f.name] = tuple(_number(where, v) for v in value)
+        else:
+            raise ValueError(f"{where} must be a list of numbers, got {value!r}")
+    return _VARIANTS[variant](**values)
 
 
 def load_process_spec(path: str) -> ProcessSpec:
@@ -362,24 +388,9 @@ def dump_process_spec(path: str, spec: ProcessSpec) -> None:
 MC_CURVE_HEADER = ["n", "ir_mean", "ir_mc_se", "paths", "length", "seed"]
 
 
-def mc_ir_curve_csv_text(curve: McIrCurve) -> str:
-    buf = io.StringIO()
-    buf.write(f"# rng={curve.rng}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MC_CURVE_HEADER)
-    for i in range(len(curve)):
-        writer.writerow(
-            [
-                int(curve.n[i]),
-                format_value(curve.ir_mean[i]),
-                format_value(curve.ir_se[i]),
-                curve.paths,
-                curve.length,
-                curve.seed,
-            ]
-        )
-    return buf.getvalue()
-
-
 def write_mc_ir_curve_csv(path: str, curve: McIrCurve) -> None:
-    atomic_write_text(path, mc_ir_curve_csv_text(curve))
+    rows = (
+        (n, m, se, curve.paths, curve.length, curve.seed)
+        for n, m, se in zip(curve.n.tolist(), curve.ir_mean.tolist(), curve.ir_se.tolist())
+    )
+    write_csv(path, MC_CURVE_HEADER, rows, comment=f"rng={curve.rng}")

@@ -10,14 +10,13 @@ payoff standard deviation; annualization multiplies by sqrt(periods per year).
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .timeseries import NormalizedReturnSeries, atomic_write_text, format_value
+from .timeseries import NormalizedReturnSeries, write_csv
 
 __all__ = [
     "StrategyPayoffs",
@@ -216,28 +215,10 @@ def ir_matrix(x_matrix: np.ndarray, lookbacks) -> np.ndarray:
 IR_CURVE_HEADER = ["n", "mean", "sd", "ir", "ir_annualized", "stderr", "samples"]
 
 
-def ir_curve_csv_text(curve: IrCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(IR_CURVE_HEADER)
-    ann = curve.ir_annualized
-    for i in range(len(curve)):
-        writer.writerow(
-            [
-                int(curve.n[i]),
-                format_value(curve.mean[i]),
-                format_value(curve.sd[i]),
-                format_value(curve.ir[i]),
-                format_value(ann[i]),
-                format_value(curve.stderr[i]),
-                int(curve.samples[i]),
-            ]
-        )
-    return buf.getvalue()
-
-
 def write_ir_curve_csv(path: str, curve: IrCurve) -> None:
-    atomic_write_text(path, ir_curve_csv_text(curve))
+    columns = (curve.n, curve.mean, curve.sd, curve.ir, curve.ir_annualized, curve.stderr,
+               curve.samples)
+    write_csv(path, IR_CURVE_HEADER, zip(*(c.tolist() for c in columns)))
 
 
 def read_ir_curve_csv(path: str, periods_per_year: float = 52.0) -> IrCurve:

@@ -20,14 +20,13 @@ autocorrelations and typically humps at small N before 1/sqrt(N) takes over.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .timeseries import atomic_write_text, format_value
+from .timeseries import write_csv
 
 __all__ = [
     "MomentProfile",
@@ -191,18 +190,11 @@ def ir_case2(autocorr: Sequence[float], n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def theory_curve_csv_text(profile: MomentProfile, n_range: tuple[int, int]) -> str:
+def write_theory_curve_csv(path: str, profile: MomentProfile, n_range: tuple[int, int]) -> None:
     n_min, n_max = int(n_range[0]), int(n_range[1])
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad lookback range [{n_min}, {n_max}]")
     ns = np.arange(n_min, n_max + 1)
-    buf = io.StringIO()
-    buf.write("n,mean,variance,ir\n")
     mean, variance, ir = theory_curve(profile, ns)
-    for n, m, v, r in zip(ns.tolist(), mean.tolist(), variance.tolist(), ir.tolist()):
-        buf.write(f"{n},{format_value(m)},{format_value(v)},{format_value(r)}\n")
-    return buf.getvalue()
-
-
-def write_theory_curve_csv(path: str, profile: MomentProfile, n_range: tuple[int, int]) -> None:
-    atomic_write_text(path, theory_curve_csv_text(profile, n_range))
+    rows = zip(*(c.tolist() for c in (ns, mean, variance, ir)))
+    write_csv(path, ["n", "mean", "variance", "ir"], rows)

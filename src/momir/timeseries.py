@@ -29,6 +29,7 @@ __all__ = [
     "normalize",
     "read_price_csv",
     "read_value_csv",
+    "write_csv",
     "write_series_csv",
 ]
 
@@ -263,15 +264,25 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def format_value(x: float) -> str:
-    """15-significant-digit decimal formatting shared by all CSV writers."""
-    if math.isnan(x):
-        return ""
-    return format(x, ".15g")
+def write_csv(
+    path: str, header: Sequence[str], rows: Iterable[Sequence], comment: str | None = None
+) -> None:
+    """Write a comma-separated table, the one CSV layout of every momir output.
+
+    An optional ``# comment`` line precedes the header.  Float cells get 15
+    significant digits and NaN leaves the cell empty; other cells are written
+    with ``str``.
+    """
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(
+            ("" if math.isnan(v) else format(v, ".15g")) if isinstance(v, float) else str(v)
+            for v in row
+        ))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_series_csv(path: str, dates: Iterable[dt.date], values: Iterable[float]) -> None:
     """Emit any dated series as a `date,value` CSV."""
-    lines = ["date,value"]
-    lines += [f"{d.isoformat()},{format_value(v)}" for d, v in zip(dates, values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ["date", "value"], ((d.isoformat(), float(v)) for d, v in zip(dates, values)))

@@ -138,6 +138,39 @@ def brute_force_breaks(y: np.ndarray, n_breaks: int, min_segment: int) -> tuple[
     return best
 
 
+def full_row_dp_tables(
+    y: np.ndarray, min_segment: int, max_breaks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segmentation DP over the whole (n+1)^2 segment-cost matrix, every row at every level.
+
+    opt[k, j] is the least SSE of k+1 segments of >= min_segment over [0, j);
+    argt[k, j] is the start of the last one.  The line cost over [i, j) is
+    the closed form from prefix sums, written out in the same operation order
+    as the library so that the tables can be compared exactly.
+    """
+    n = len(y)
+    x = np.arange(n, dtype=float)
+    px, py, pxx, pxy, pyy = (
+        np.concatenate([[0.0], np.cumsum(v)]) for v in (x, y, x * x, x * y, y * y)
+    )
+    length = np.arange(n + 1, dtype=float)[None, :] - np.arange(n + 1, dtype=float)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sx, sy, sxx, sxy, syy = (p[None, :] - p[:, None] for p in (px, py, pxx, pxy, pyy))
+        cxx = sxx - sx * sx / length
+        cxy = sxy - sx * sy / length
+        cyy = syy - sy * sy / length
+        sse = cyy - cxy * cxy / cxx
+    cost = np.where(length >= min_segment, np.maximum(sse, 0.0), np.inf)
+    opt = np.full((max_breaks + 1, n + 1), np.inf)
+    argt = np.zeros((max_breaks + 1, n + 1), dtype=int)
+    opt[0] = cost[0]
+    for k in range(1, max_breaks + 1):
+        cand = opt[k - 1][:, None] + cost
+        argt[k] = np.argmin(cand, axis=0)
+        opt[k] = cand.min(axis=0)
+    return opt, argt
+
+
 def sample_acf(values: np.ndarray, lag: int) -> float:
     """Tail-count-normalized autocorrelation, written independently."""
     d = values - values.mean()

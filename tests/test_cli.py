@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,34 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"variant": "iid_gaussian", "mu": null, "sigma": 1.0}', "mu"),
+            ('{"variant": "moving_average", "mu": 0.0, "coefficients": 3, "sigma": 1.0}',
+             "coefficients"),
+            ('{"variant": "moving_average", "mu": 0.0, "coefficients": [1.0, Infinity], '
+             '"sigma": 1.0}', "coefficients[1]"),
+            ('{"variant": "square_wave_drift", "mu": 0.075, "amplitude": 0.15, "t_wave": NaN, '
+             '"noise": {"variant": "iid_gaussian", "mu": 0.0, "sigma": 1.5}}', "t_wave"),
+            ('{"variant": "iid_gaussian", "mu": NaN, "sigma": 1.0}', "mu"),
+            ('{"variant": "iid_gaussian", "mu": 0.0, "sigma": 1.0, "amplitude": 0.2}',
+             "amplitude"),
+            ('{"variant": "iid_gaussian", "mu": 0.0}', "sigma"),
+        ],
+    )
+    def test_malformed_spec_fails_naming_the_field(self, tmp_path, capsys, text, field):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        out = tmp_path / "mc.csv"
+        code = main(["simulate", "--spec", str(spec_path), "--output", str(out),
+                     "--n-max", "5", "--paths", "2", "--length", "50", "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"{field} " in err[0] or f"{field!r}" in err[0]
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_stationary_fit_through_cli(self, returns_csv, tmp_path):
@@ -319,8 +348,13 @@ class TestReadme:
         prices = 100.0 * np.exp(np.cumsum(drift + 0.01 * (eps[1:] + 0.3 * eps[:-1])))
         write_prices(tmp_path / "prices.csv", days, prices)
         monkeypatch.chdir(tmp_path)
-        for key in ("ingest", "ir", "regimes", "fit stationary", "theory"):
+        for key in ("ingest", "ir", "regimes", "theory"):
             assert main(commands[key]) == 0, key
+        # the documented stationary fit has enough curve points for its parameters
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(commands["fit stationary"]) == 0
+        assert not any("qualitative" in str(w.message) for w in caught)
         for name in ("returns.csv", "ir.csv", "regimes.csv", "avg_ir.csv", "fit.json",
                      "theory.csv"):
             assert (tmp_path / name).exists(), name

@@ -165,18 +165,26 @@ class TestFitSquareWave:
         assert abs(result.parameters["amplitude"] - 0.15) <= 0.2 * 0.15
         assert result.converged
 
-    def test_objective_is_bit_stable(self, empirical):
-        from momir.fit import _SquareWaveObjective
+    def test_fitted_curve_is_the_monte_carlo_curve_of_the_fit(self, empirical, tmp_path):
+        # The fit scores candidates on the same series builder that mc_ir_curve
+        # uses, so its fitted curve is that curve, bit for bit.
+        def fit():
+            return fit_square_wave(
+                empirical, mu_fixed=0.075, sigma_fixed=1.5, t_range=(180, 180, 10),
+                paths=20, length=2000, seed=5,
+            )
 
-        ns = empirical.n[np.isfinite(empirical.ir)]
-        irs = empirical.ir[np.isfinite(empirical.ir)]
-        obj = _SquareWaveObjective(
-            ns=ns, irs=irs, mu=0.075, sigma=1.5, noise_kind="iid",
-            paths=20, length=2000, seed=5, ma_horizon=21,
+        result = fit()
+        spec = SquareWaveDrift(
+            0.075, result.parameters["amplitude"], result.parameters["t_wave"],
+            IidGaussian(0.0, 1.5),
         )
-        a = obj.score(180, 0.15, {})
-        b = obj.score(180, 0.15, {})
-        assert a == b
+        ns = result.fitted_n
+        mc = mc_ir_curve(spec, (int(ns[0]), int(ns[-1])), paths=20, length=2000, seed=5)
+        assert np.array_equal(result.fitted_ir, mc.ir_mean[ns - ns[0]])
+        write_fit_result_json(str(tmp_path / "a.json"), result)
+        write_fit_result_json(str(tmp_path / "b.json"), fit())
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_flat_truth_fits_amplitude_near_zero(self):
         spec = SquareWaveDrift(0.075, 0.0, 180, IidGaussian(0.0, 1.5))

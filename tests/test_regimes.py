@@ -16,14 +16,14 @@ from momir.regimes import (
     detect_breakpoints,
     filter_regimes,
     monthly_last_indices,
-    regime_report_csv_text,
     regime_stats,
     weekly_segmentation,
+    write_regime_report_csv,
 )
 from momir.strategy import IrCurve, ir_curve
 from momir.timeseries import NormalizedReturnSeries, Period, ReturnSeries
 
-from oracles import brute_force_breaks, sample_acf
+from oracles import brute_force_breaks, full_row_dp_tables, sample_acf
 
 
 def two_piece(n_left=30, n_right=30, slope=1.0):
@@ -122,6 +122,19 @@ class TestDpOptimality:
         breaks, sse = brute_force_breaks(y, k, min_segment=8)
         assert seg.breakpoints == breaks
         assert seg.rss == pytest.approx(sse, rel=1e-9, abs=1e-9)
+
+    def test_tables_match_the_full_row_recurrence(self):
+        # Levels skip the rows that cannot hold a split; the tables must not move.
+        from momir.regimes import _dp_tables
+
+        y = np.cumsum(np.random.default_rng(61).standard_normal(600))
+        z = y - y[0]
+        opt, argt = _dp_tables(z, 12, 600 // 12 - 1)
+        ref_opt, ref_argt = full_row_dp_tables(z, 12, 600 // 12 - 1)
+        assert np.array_equal(opt, ref_opt)
+        finite = np.isfinite(ref_opt)
+        assert finite.sum() > 10000
+        assert np.array_equal(argt[finite], ref_argt[finite])
 
 
 class TestFilterRegimes:
@@ -308,14 +321,14 @@ class TestWeeklyPipeline:
         assert min(abs(b - n // 2) for b in seg.breakpoints) <= 10
 
 
-def test_regime_report_format():
+def test_regime_report_format(tmp_path):
     rng = np.random.default_rng(17)
     start = dt.date(2001, 1, 5)
     dates = tuple(start + dt.timedelta(days=7 * i) for i in range(120))
     series = NormalizedReturnSeries(dates, rng.standard_normal(120) + 0.4, 10)
     stats = regime_stats(series, (1, 20))
-    text = regime_report_csv_text([stats])
-    lines = text.strip().splitlines()
+    write_regime_report_csv(str(tmp_path / "regimes.csv"), [stats])
+    lines = (tmp_path / "regimes.csv").read_text().strip().splitlines()
     assert lines[0] == "start,end,weeks,acf1,acf_se,max_ir,ir_se,max_ir_n,classification"
     fields = lines[1].split(",")
     assert fields[0] == "2001-01-05"

@@ -11,13 +11,15 @@ from momir.simulate import (
     SquareWaveDrift,
     dump_process_spec,
     generate,
+    innovations,
     load_process_spec,
     ma_from_target_acf,
     mc_ir_curve,
-    mc_ir_curve_csv_text,
+    series,
     spec_from_dict,
     square_wave,
     theoretical_acf_of_ma,
+    write_mc_ir_curve_csv,
 )
 from momir.strategy import ir_curve
 from momir.theory import ir_case1
@@ -182,15 +184,9 @@ class TestMcIrCurve:
         spec = SquareWaveDrift(0.05, 0.1, 40, IidGaussian(0.0, 1.0))
         curve = mc_ir_curve(spec, (1, 30), paths=4, length=500, seed=12)
         # recompute path 2 individually through the public strategy API
-        from momir.simulate import _generate, path_rng
-
-        series = _generate(spec, 500, path_rng(12, 2))
-        single = ir_curve(series, (1, 30))
+        single = ir_curve(series(spec, innovations(spec, 3, 500, 12)[2]), (1, 30))
         per_path = np.vstack(
-            [
-                ir_curve(_generate(spec, 500, path_rng(12, k)), (1, 30)).ir
-                for k in range(4)
-            ]
+            [ir_curve(row, (1, 30)).ir for row in series(spec, innovations(spec, 4, 500, 12))]
         )
         assert np.allclose(per_path.mean(axis=0), curve.ir_mean, rtol=0, atol=1e-8)
         assert np.allclose(single.ir, per_path[2], rtol=0, atol=0)
@@ -200,10 +196,10 @@ class TestMcIrCurve:
             mc_ir_curve(IidGaussian(0.0, 1.0), (1, 50), paths=2, length=50, seed=0)
 
 
-def test_mc_curve_csv_records_rng_metadata():
+def test_mc_curve_csv_records_rng_metadata(tmp_path):
     curve = mc_ir_curve(IidGaussian(0.0, 1.0), (1, 3), paths=4, length=100, seed=1)
-    text = mc_ir_curve_csv_text(curve)
-    lines = text.splitlines()
+    write_mc_ir_curve_csv(str(tmp_path / "mc.csv"), curve)
+    lines = (tmp_path / "mc.csv").read_text().splitlines()
     assert lines[0].startswith("# rng=Philox")
     assert lines[1] == "n,ir_mean,ir_mc_se,paths,length,seed"
     assert lines[2].endswith("4,100,1")

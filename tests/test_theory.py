@@ -10,7 +10,7 @@ from momir.theory import (
     realizability_violation,
     strategy_variance,
     theoretical_ir,
-    theory_curve_csv_text,
+    write_theory_curve_csv,
 )
 
 from oracles import (
@@ -195,9 +195,9 @@ class TestCase2:
         assert irs[0] == pytest.approx(ir_case2(rho, 4), rel=1e-13)
 
 
-def test_theory_csv_shape():
-    text = theory_curve_csv_text(MomentProfile(0.1, 1.0, (0.05,)), (1, 3))
-    lines = text.strip().splitlines()
+def test_theory_csv_shape(tmp_path):
+    write_theory_curve_csv(str(tmp_path / "theory.csv"), MomentProfile(0.1, 1.0, (0.05,)), (1, 3))
+    lines = (tmp_path / "theory.csv").read_text().strip().splitlines()
     assert lines[0] == "n,mean,variance,ir"
     assert len(lines) == 4
     assert lines[1].startswith("1,")

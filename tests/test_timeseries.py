@@ -16,6 +16,7 @@ from momir.timeseries import (
     read_price_csv,
     read_value_csv,
     resample_to_weekly,
+    write_csv,
     write_series_csv,
 )
 
@@ -180,3 +181,13 @@ class TestCsv:
         assert series.dates == dates
         assert series.returns == pytest.approx([0.1, -0.25, 1.0 / 3.0], abs=1e-15)
         assert path.read_text().splitlines()[0] == "date,value"
+
+    def test_write_csv_cell_format(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [(1, float("nan"), -0.0, 1.0 / 3.0, "CaseI"), (2, 1e-20, 2.5, 1e21, "")]
+        write_csv(str(path), ["n", "a", "b", "c", "d"], rows)
+        assert path.read_text() == (
+            "n,a,b,c,d\n1,,-0,0.333333333333333,CaseI\n2,1e-20,2.5,1e+21,\n"
+        )
+        write_csv(str(path), ["n"], [(1,)], comment="rng=Philox")
+        assert path.read_text() == "# rng=Philox\nn\n1\n"
