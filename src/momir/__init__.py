@@ -21,7 +21,6 @@ from .timeseries import (
 )
 from .strategy import (
     IrCurve,
-    StrategyPayoffs,
     annualize,
     backtest,
     ir_curve,

@@ -174,6 +174,8 @@ def fit_square_wave(
         raise ValueError("sigma_fixed must be positive")
     if paths < 2:
         raise ValueError("paths must be >= 2")
+    if int(t_range[2]) < 1:
+        raise ValueError(f"period grid step must be >= 1, got {t_range[2]}")
     t_values = list(range(int(t_range[0]), int(t_range[1]) + 1, int(t_range[2])))
     if not t_values or any(t < 2 for t in t_values):
         raise ValueError(f"empty or invalid period grid from t_range={t_range}")

@@ -312,10 +312,6 @@ def regime_stats(
         values = np.asarray(x, dtype=float)
         span = (None, None)
     weeks = len(values)
-    if weeks <= max(n_range):
-        raise ValueError(
-            f"regime of {weeks} samples too short for lookbacks up to {max(n_range)}"
-        )
     curve = ir_curve(values, n_range, periods_per_year)
     ann = curve.ir_annualized
     if not np.any(np.isfinite(ann)):
@@ -413,12 +409,7 @@ def weekly_segmentation(
             f"(need {2 * min_segment_months})"
         )
     seg = detect_breakpoints(cumlog[month_idx], min_segment_months, max_breaks)
-    weekly_breaks = [int(month_idx[b - 1]) + 1 for b in seg.breakpoints]
-    bounds = [0, *weekly_breaks, len(cumlog)]
-    segments = tuple(
-        _fit_segment(cumlog, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)
-    )
-    return Segmentation(breakpoints=tuple(weekly_breaks), segments=segments, n=len(cumlog))
+    return _build_segmentation(cumlog, [int(month_idx[b - 1]) + 1 for b in seg.breakpoints])
 
 
 REGIME_REPORT_HEADER = [

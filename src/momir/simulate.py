@@ -23,7 +23,7 @@ from typing import Mapping, Union
 import numpy as np
 from scipy import optimize
 
-from .strategy import ir_matrix
+from .strategy import check_lookbacks, ir_matrix
 from .timeseries import atomic_write_text, write_csv
 
 __all__ = [
@@ -292,20 +292,18 @@ def mc_ir_curve(
     through the momentum strategy at every lookback in the range; the MC
     standard error is the cross-path standard deviation over sqrt(paths).
     """
-    n_min, n_max = int(n_range[0]), int(n_range[1])
-    if length <= n_max:
-        raise ValueError(f"length {length} too short for max lookback {n_max}")
+    ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1), length)
     if paths < 1:
         raise ValueError("paths must be >= 1")
     x = series(spec, innovations(spec, paths, length, seed))
-    per_path = ir_matrix(x, np.arange(n_min, n_max + 1))
+    per_path = ir_matrix(x, ns)
     ir_mean = per_path.mean(axis=0)
     if paths >= 2:
         ir_se = per_path.std(axis=0, ddof=1) / math.sqrt(paths)
     else:
         ir_se = np.zeros(per_path.shape[1])
     return McIrCurve(
-        n=np.arange(n_min, n_max + 1),
+        n=ns,
         ir_mean=ir_mean,
         ir_se=ir_se,
         paths=paths,

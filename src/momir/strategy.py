@@ -9,18 +9,17 @@ payoff standard deviation; annualization multiplies by sqrt(periods per year).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .timeseries import NormalizedReturnSeries, write_csv
+from .timeseries import NormalizedReturnSeries, read_csv, write_csv
 
 __all__ = [
-    "StrategyPayoffs",
     "IrCurve",
+    "check_lookbacks",
     "signal",
     "backtest",
     "ir_curve",
@@ -40,23 +39,25 @@ def _values(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-@dataclass(frozen=True)
-class StrategyPayoffs:
-    """Per-period payoffs m_{t-1}(N) * X_t for one lookback N.
+def check_lookbacks(ns, length: int | None = None) -> np.ndarray:
+    """The lookbacks ``ns`` as an int array, after checking the one lookback rule.
 
-    ``start`` is the index (into the source series) of the first traded
-    return, so payoff k settles on series index ``start + k``.
+    There must be at least one lookback, every N must be >= 1 and, given a
+    series ``length``, every N must be below it.
     """
+    arr = np.asarray(ns, dtype=int)
+    if arr.size == 0:
+        raise ValueError(f"no lookbacks in {ns!r}")
+    if arr.min() < 1:
+        raise ValueError(f"lookback N must be >= 1, got {arr.min()}")
+    if length is not None and arr.max() >= length:
+        raise ValueError(f"series of length {length} too short for max lookback {arr.max()}")
+    return arr
 
-    lookback: int
-    payoffs: np.ndarray
-    start: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "payoffs", np.asarray(self.payoffs, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.payoffs)
+def _check_periods_per_year(periods_per_year: float) -> None:
+    if not (math.isfinite(periods_per_year) and periods_per_year > 0):
+        raise ValueError(f"periods_per_year must be finite and positive, got {periods_per_year}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ class IrCurve:
 def signal(x, n: int, t: int) -> float:
     """Moving-average signal m_t(N): mean of the N values ending at index t."""
     values = _values(x)
-    if n < 1:
-        raise ValueError("lookback N must be >= 1")
+    check_lookbacks([n])
     if t < n - 1 or t >= len(values):
         raise ValueError(
             f"signal at index {t} needs {n} past values within a series of "
@@ -117,24 +117,22 @@ def _payoffs(x: np.ndarray, ns) -> Iterator[np.ndarray]:
         yield (prefix[..., n:length] - prefix[..., : length - n]) / n * x[..., n:]
 
 
-def backtest(x, n: int) -> StrategyPayoffs:
+def backtest(x, n: int) -> np.ndarray:
     """Payoffs m_{t-1}(N) * X_t for every t with a full lookback window.
 
     One payoff per period (rebalanced every period, no costs), t running from
-    N to len(X)-1, giving exactly len(X) - N payoffs.
+    N to len(X)-1, giving exactly len(X) - N payoffs: payoff k settles on
+    series index N + k.
     """
     values = _values(x)
-    if n < 1:
-        raise ValueError("lookback N must be >= 1")
-    if len(values) <= n:
-        raise ValueError(f"series of length {len(values)} too short for lookback {n}")
-    return StrategyPayoffs(lookback=n, payoffs=next(_payoffs(values, [n])), start=n)
+    return next(_payoffs(values, check_lookbacks([n], len(values))))
 
 
 def ir_standard_error(samples: int, periods_per_year: float) -> float:
     """Annualized 95% half-width for an estimated IR: Z95 * sqrt(ppy / samples)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_periods_per_year(periods_per_year)
     return Z95 * math.sqrt(periods_per_year) / math.sqrt(samples)
 
 
@@ -164,19 +162,10 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def ir_curve(x, n_range: tuple[int, int], periods_per_year: float = 52.0) -> IrCurve:
     """Backtest every lookback in [n_min, n_max] and collect IR statistics."""
     values = _values(x)
-    n_min, n_max = int(n_range[0]), int(n_range[1])
-    if n_min < 1 or n_max < n_min:
-        raise ValueError(f"bad lookback range [{n_min}, {n_max}]")
-    if n_max >= len(values):
-        raise ValueError(
-            f"max lookback {n_max} needs a series longer than {n_max}, got {len(values)}"
-        )
-    if periods_per_year <= 0:
-        raise ValueError("periods_per_year must be positive")
-    ns = np.arange(n_min, n_max + 1)
-    mean, sd, ir = (v[0] for v in _ir_stats(values[None, :], ns))
+    ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1), len(values))
     samples = len(values) - ns
     stderr = [ir_standard_error(int(s), periods_per_year) for s in samples]
+    mean, sd, ir = (v[0] for v in _ir_stats(values[None, :], ns))
     return IrCurve(
         n=ns, mean=mean, sd=sd, ir=ir, stderr=stderr, samples=samples,
         periods_per_year=periods_per_year,
@@ -185,8 +174,7 @@ def ir_curve(x, n_range: tuple[int, int], periods_per_year: float = 52.0) -> IrC
 
 def annualize(ir_per_period: float, periods_per_year: float) -> float:
     """Scale a per-period IR to annual units: ir * sqrt(periods_per_year)."""
-    if periods_per_year <= 0:
-        raise ValueError("periods_per_year must be positive")
+    _check_periods_per_year(periods_per_year)
     return ir_per_period * math.sqrt(periods_per_year)
 
 
@@ -200,11 +188,7 @@ def ir_matrix(x_matrix: np.ndarray, lookbacks) -> np.ndarray:
     x = np.asarray(x_matrix, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a 2-d matrix of series")
-    length = x.shape[1]
-    ns = np.asarray(lookbacks, dtype=int)
-    if ns.size == 0 or ns.min() < 1 or ns.max() >= length:
-        raise ValueError(f"lookbacks must lie in [1, {length - 1}], got {ns!r}")
-    return _ir_stats(x, ns)[2]
+    return _ir_stats(x, check_lookbacks(lookbacks, x.shape[1]))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -221,27 +205,14 @@ def write_ir_curve_csv(path: str, curve: IrCurve) -> None:
     write_csv(path, IR_CURVE_HEADER, zip(*(c.tolist() for c in columns)))
 
 
+def _number(text: str) -> float:
+    """A float cell; an empty cell is NaN."""
+    return float(text) if text.strip() else math.nan
+
+
 def read_ir_curve_csv(path: str, periods_per_year: float = 52.0) -> IrCurve:
     """Load an IR-curve CSV written by :func:`write_ir_curve_csv`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != IR_CURVE_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(IR_CURVE_HEADER)!r}")
-        rows = [row for row in reader if row and any(f.strip() for f in row)]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-
-    def num(s: str) -> float:
-        return float(s) if s.strip() else math.nan
-
-    n = [int(r[0]) for r in rows]
-    return IrCurve(
-        n=n,
-        mean=[num(r[1]) for r in rows],
-        sd=[num(r[2]) for r in rows],
-        ir=[num(r[3]) for r in rows],
-        stderr=[num(r[5]) for r in rows],
-        samples=[int(r[6]) for r in rows],
-        periods_per_year=periods_per_year,
+    n, mean, sd, ir, _, stderr, samples = read_csv(
+        path, IR_CURVE_HEADER, [int, _number, _number, _number, _number, _number, int]
     )
+    return IrCurve(n, mean, sd, ir, stderr, samples, periods_per_year)

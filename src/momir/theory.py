@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .strategy import check_lookbacks
 from .timeseries import write_csv
 
 __all__ = [
@@ -110,13 +111,6 @@ class TheoreticalIr:
     ir: float
 
 
-def _check_lookbacks(ns) -> np.ndarray:
-    ns = np.asarray(ns, dtype=int)
-    if ns.size == 0 or ns.min() < 1:
-        raise ValueError("lookback N must be >= 1")
-    return ns
-
-
 def _rho_sums(autocorr: Sequence[float], ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S1 = sum of rho(1..N); S2 = ordered-pair sum of rho(|i-j|), i != j.
 
@@ -137,7 +131,7 @@ def theory_curve(profile: MomentProfile, ns) -> tuple[np.ndarray, np.ndarray, np
 
     Var(R) is exact for a multivariate-Gaussian X; IR = E[R] / sqrt(Var(R)).
     """
-    ns = _check_lookbacks(ns)
+    ns = check_lookbacks(ns)
     mu2 = profile.mu * profile.mu
     v = profile.variance
     s1, s2 = _rho_sums(profile.autocorr, ns)
@@ -169,11 +163,7 @@ def ir_case1(mu: float, variance: float, n: int) -> float:
     mu^2 / sqrt(V mu^2 + V^2/N + mu^2 V / N); strictly increasing in N and
     approaching |mu|/sqrt(V).  Zero drift gives exactly 0 for finite N.
     """
-    _check_lookbacks([n])
-    if not (variance > 0.0):
-        raise ValueError("variance must be positive")
-    mu2 = mu * mu
-    return mu2 / math.sqrt(variance * mu2 + variance * variance / n + mu2 * variance / n)
+    return float(theory_curve(MomentProfile(mu, variance), [n])[2][0])
 
 
 def ir_case2(autocorr: Sequence[float], n: int) -> float:
@@ -181,7 +171,7 @@ def ir_case2(autocorr: Sequence[float], n: int) -> float:
 
     S1 / sqrt(N + S1^2 + S2); independent of the process variance.
     """
-    s1, s2 = (float(v[0]) for v in _rho_sums(autocorr, _check_lookbacks([n])))
+    s1, s2 = (float(v[0]) for v in _rho_sums(autocorr, check_lookbacks([n])))
     return s1 / math.sqrt(n + s1 * s1 + s2)
 
 
@@ -191,10 +181,7 @@ def ir_case2(autocorr: Sequence[float], n: int) -> float:
 
 
 def write_theory_curve_csv(path: str, profile: MomentProfile, n_range: tuple[int, int]) -> None:
-    n_min, n_max = int(n_range[0]), int(n_range[1])
-    if n_min < 1 or n_max < n_min:
-        raise ValueError(f"bad lookback range [{n_min}, {n_max}]")
-    ns = np.arange(n_min, n_max + 1)
+    ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1))
     mean, variance, ir = theory_curve(profile, ns)
     rows = zip(*(c.tolist() for c in (ns, mean, variance, ir)))
     write_csv(path, ["n", "mean", "variance", "ir"], rows)

@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "log_returns",
     "resample_to_weekly",
     "normalize",
+    "read_csv",
     "read_price_csv",
     "read_value_csv",
     "write_csv",
@@ -204,48 +205,69 @@ def mean_abs_level(series: NormalizedReturnSeries) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _parse_rows(path: str, expected_header: list[str]) -> list[tuple[dt.date, float]]:
-    rows: list[tuple[dt.date, float]] = []
+# Rows per column-wise conversion, so a large file's raw text cells never pile up.
+READ_BLOCK_ROWS = 1024
+
+
+def read_csv(path: str, header: Sequence[str], parsers: Sequence[Callable]) -> list[list]:
+    """Read a comma-separated table, the one CSV reader behind every momir input.
+
+    The header must match ``header`` with case and surrounding spaces ignored.
+    Blank lines are skipped, every other line needs one field per column, and
+    column j is converted by ``parsers[j]``.  Returns the converted columns.
+    A bad row fails naming the file and the line.
+    """
+    columns: list[list] = [[] for _ in header]
+    rows, lines = [], []
+
+    def convert() -> None:
+        for column, name, parse, cells in zip(columns, header, parsers, zip(*rows)):
+            try:
+                column.extend(map(parse, cells))
+            except ValueError:
+                for line, cell in zip(lines, cells):
+                    try:
+                        parse(cell)
+                    except ValueError:
+                        raise ValueError(f"{path}, line {line}: bad {name} {cell!r}") from None
+                raise
+        del rows[:], lines[:]
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != expected_header:
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header) if header else 'empty file'!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}, line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                d = dt.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: bad date {row[0]!r}: {exc}") from None
-            try:
-                v = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}, line {lineno}: bad number {row[1]!r}") from None
-            rows.append((d, v))
-    return rows
+        got = next(reader, None)
+        if got is None or [h.strip().lower() for h in got] != [h.lower() for h in header]:
+            raise ValueError(f"{path}: expected header {','.join(header)!r}, "
+                             f"got {','.join(got) if got else 'empty file'!r}")
+        for row in reader:
+            if len(row) != len(header):
+                if len(row) <= 1 and not "".join(row).strip():
+                    continue
+                raise ValueError(f"{path}, line {reader.line_num}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == READ_BLOCK_ROWS:
+                convert()
+    convert()
+    if not columns[0]:
+        raise ValueError(f"{path}: no data rows")
+    return columns
+
+
+def _iso_date(text: str) -> dt.date:
+    return dt.date.fromisoformat(text.strip())
 
 
 def read_price_csv(path: str, period: Period = Period.DAILY) -> PriceSeries:
     """Load a `date,price` CSV into a PriceSeries."""
-    rows = _parse_rows(path, ["date", "price"])
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 price rows, got {len(rows)}")
-    dates, prices = zip(*rows)
+    dates, prices = read_csv(path, ["date", "price"], [_iso_date, float])
     return PriceSeries(dates=dates, prices=np.array(prices), period=period)
 
 
 def read_value_csv(path: str, period: Period = Period.WEEKLY) -> ReturnSeries:
     """Load a `date,value` CSV into a ReturnSeries."""
-    rows = _parse_rows(path, ["date", "value"])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    dates, values = zip(*rows)
+    dates, values = read_csv(path, ["date", "value"], [_iso_date, float])
     return ReturnSeries(dates=dates, returns=np.array(values), period=period)
 
 

@@ -170,7 +170,7 @@ def test_backtest_equals_double_loop():
     x = 0.05 + rng.standard_normal(10_000)
     worst = 0.0
     for n in (1, 5, 26, 52):
-        got = backtest(x, n).payoffs
+        got = backtest(x, n)
         want = double_loop_backtest(x, n)
         worst = max(worst, float(np.max(np.abs(got - want))))
     report(

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momir import simulate as simulate_mod
 from momir.cli import _build_parser, main
 from momir.simulate import IidGaussian, SquareWaveDrift, dump_process_spec
-from momir.strategy import read_ir_curve_csv
+from momir.strategy import IR_CURVE_HEADER, read_ir_curve_csv
 from momir.timeseries import write_series_csv
 
 
@@ -218,6 +219,53 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"{field} " in err[0] or f"{field!r}" in err[0]
         assert not out.exists()
+
+
+
+CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
+              "3,0.03,1,0.03,0.216,0.098,397"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad_row, needle",
+    [
+        ("fit --input {curve} --model stationary --k-lags 1", "2,0.02,1", "ir.csv, line 3"),
+        ("fit --input {curve} --model stationary --k-lags 1", "2,abc,1,0.02,0.144,0.098,398",
+         "ir.csv, line 3"),
+        ("fit --input {curve} --model stationary --k-lags 1", "6.5,0.02,1,0.02,0.144,0.098,398",
+         "ir.csv, line 3"),
+        ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed 1 --t-step 0", None,
+         "step"),
+        ("ir --input {returns} --n-max 5 --periods-per-year nan", None, "periods_per_year"),
+        ("regimes --input {returns} --output-curve {tmp}/avg.csv --periods-per-year nan", None,
+         "periods_per_year"),
+        ("simulate --spec {spec} --n-min 5 --n-max 3 --seed 1", None, "lookbacks"),
+    ],
+    ids=["truncated-row", "non-numeric-cell", "non-integer-n", "zero-t-step", "ir-nan-ppy",
+         "regimes-nan-ppy", "empty-lookback-range"],
+)
+def test_bad_input_fails_naming_the_cause(
+    tmp_path, capsys, monkeypatch, returns_csv, argv, bad_row, needle
+):
+    rows = list(CURVE_ROWS)
+    if bad_row is not None:
+        rows[1] = bad_row
+    curve = tmp_path / "ir.csv"
+    curve.write_text("\n".join([",".join(IR_CURVE_HEADER), *rows]) + "\n")
+    spec = tmp_path / "spec.json"
+    dump_process_spec(str(spec), IidGaussian(0.0, 1.0))
+
+    def draw(*args):
+        raise AssertionError("a series was drawn before the input was checked")
+
+    monkeypatch.setattr(simulate_mod, "innovations", draw)
+    line = argv.format(curve=curve, returns=returns_csv, spec=spec, tmp=tmp_path)
+    code = main([*line.split(), "--output", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert needle in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ir.csv", "returns.csv", "spec.json"]
 
 
 class TestFitCommand:

@@ -49,16 +49,17 @@ class TestSignal:
 
 class TestBacktest:
     def test_zero_series_gives_zero_payoffs(self):
-        assert np.array_equal(backtest([0.0] * 5, 2).payoffs, np.zeros(3))
+        assert np.array_equal(backtest([0.0] * 5, 2), np.zeros(3))
 
     def test_unit_series_n1(self):
-        result = backtest([1.0, 1.0, 1.0, 1.0], 1)
-        assert np.array_equal(result.payoffs, [1.0, 1.0, 1.0])
-        assert result.start == 1
+        assert np.array_equal(backtest([1.0, 1.0, 1.0, 1.0], 1), [1.0, 1.0, 1.0])
+        # payoff k settles on series index N + k
+        x = [3.0, -1.0, 2.0, 5.0, -4.0]
+        assert np.array_equal(backtest(x, 2), [signal(x, 2, k + 1) * x[k + 2] for k in range(3)])
 
     def test_alternating_series_n1_loses_every_period(self):
         x = np.tile([1.0, -1.0], 8)
-        assert np.array_equal(backtest(x, 1).payoffs, -np.ones(15))
+        assert np.array_equal(backtest(x, 1), -np.ones(15))
 
     def test_payoff_count(self):
         x = np.random.default_rng(0).standard_normal(40)
@@ -68,7 +69,7 @@ class TestBacktest:
     def test_matches_double_loop(self):
         x = np.random.default_rng(1).standard_normal(300)
         for n in (1, 5, 26):
-            got = backtest(x, n).payoffs
+            got = backtest(x, n)
             want = double_loop_backtest(x, n)
             assert np.max(np.abs(got - want)) < 1e-13
 
@@ -77,14 +78,14 @@ class TestBacktest:
     def test_sign_antisymmetry(self, values):
         x = np.asarray(values)
         n = min(3, len(x) - 1)
-        assert np.array_equal(backtest(x, n).payoffs, backtest(-x, n).payoffs)
+        assert np.array_equal(backtest(x, n), backtest(-x, n))
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(60)
         extended = np.concatenate([rng.standard_normal(10), x])
-        base = backtest(x, 5).payoffs
-        shifted = backtest(extended, 5).payoffs
+        base = backtest(x, 5)
+        shifted = backtest(extended, 5)
         # payoffs settling on shared timestamps are identical
         assert np.allclose(shifted[10:], base, rtol=0, atol=1e-12)
 

@@ -13,6 +13,7 @@ from momir.timeseries import (
     log_returns,
     mean_abs_level,
     normalize,
+    read_csv,
     read_price_csv,
     read_value_csv,
     resample_to_weekly,
@@ -181,6 +182,21 @@ class TestCsv:
         assert series.dates == dates
         assert series.returns == pytest.approx([0.1, -0.25, 1.0 / 3.0], abs=1e-15)
         assert path.read_text().splitlines()[0] == "date,value"
+
+    def test_read_csv_rules_hold_across_conversion_blocks(self, tmp_path):
+        # a header in other case and spacing, blank lines, and more rows than
+        # one conversion block: every row comes back in order, and a bad cell
+        # past the first block names its own line
+        path = tmp_path / "table.csv"
+        lines = [" N , Value"] + [f"{i},{i / 4}" for i in range(3000)]
+        lines[1500:1500] = ["", "   "]
+        path.write_text("\n".join(lines) + "\n")
+        n, value = read_csv(str(path), ["n", "value"], [int, float])
+        assert n == list(range(3000)) and value == [i / 4 for i in range(3000)]
+        lines[2700] = "2697,abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"table\.csv, line 2701: bad value 'abc'"):
+            read_csv(str(path), ["n", "value"], [int, float])
 
     def test_write_csv_cell_format(self, tmp_path):
         path = tmp_path / "table.csv"
