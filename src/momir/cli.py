@@ -218,8 +218,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rho_list(text: str) -> tuple[float, ...]:
+    """``--rho`` as autocorrelations from lag 1; a cell that does not parse names its lag."""
+    rho = []
+    for lag, cell in enumerate(text.split(","), start=1):
+        try:
+            rho.append(float(cell))
+        except ValueError:
+            raise ValueError(f"--rho, lag {lag}: bad autocorrelation {cell!r}") from None
+    return tuple(rho)
+
+
 def _cmd_theory(args: argparse.Namespace) -> int:
-    rho = tuple(float(r) for r in args.rho.split(",") if r.strip()) if args.rho else ()
+    rho = _rho_list(args.rho) if args.rho else ()
     profile = theory.MomentProfile(mu=args.mu, variance=args.variance, autocorr=rho)
     theory.write_theory_curve_csv(args.output, profile, (args.n_min, args.n_max))
     print(f"closed-form curve for N in [{args.n_min}, {args.n_max}] -> {args.output}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from .strategy import IrCurve, ir_matrix
 from .simulate import (
@@ -33,6 +32,11 @@ __all__ = ["FitResult", "fit_moment_profile", "fit_square_wave", "write_fit_resu
 # Ratio of curve points to parameters below which a fit is flagged as
 # qualitative only.
 OVERFIT_POINTS_PER_PARAM = 4
+
+# Lags whose autocorrelations the square-wave fit's correlated noise
+# (noise_kind 'ma_targets') fits: no two differ by a target lag, so each
+# target pair has an exact closed-form MA start.
+MA_TARGET_LAGS = (1, 20)
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,8 @@ def fit_moment_profile(
             f"curve has {len(ns)} usable points; need more than k_lags={k_lags}"
         )
     _warn_if_overfitting(len(ns), k_lags + 1)
+    from scipy import optimize
+
     variance = fixed_sd * fixed_sd
     evaluations = 0
 
@@ -151,14 +157,14 @@ def fit_square_wave(
     length: int | None = None,
     seed: int = 0,
     amplitude_max: float | None = None,
-    ma_lags: tuple[int, int] = (1, 20),
     max_evaluations: int = 20000,
 ) -> FitResult:
     """Fit the square-wave growth model to an empirical IR curve.
 
     Grid-searches integer periods over ``range(*t_range)`` and, inside each
     cell, runs a derivative-free search over the amplitude (plus the target
-    autocorrelations when ``noise_kind == 'ma_targets'``).  Candidates are
+    autocorrelations at :data:`MA_TARGET_LAGS` when
+    ``noise_kind == 'ma_targets'``).  Candidates are
     scored by a seeded common-random-numbers Monte Carlo estimate of the model
     IR curve at the empirical lookbacks: every candidate series is built by
     :func:`momir.simulate.series` from one innovation matrix drawn from the
@@ -195,7 +201,9 @@ def fit_square_wave(
     if amplitude_max is None:
         amplitude_max = max(10.0 * abs(mu_fixed), 0.5 * sigma_fixed)
 
-    ma_horizon = max(ma_lags) + 1
+    from scipy import optimize
+
+    ma_horizon = max(MA_TARGET_LAGS) + 1
 
     def noise(targets: Mapping[int, float]) -> ProcessSpec:
         if noise_kind == "iid":
@@ -240,7 +248,7 @@ def fit_square_wave(
                 a = theta[0]
                 if a < 0 or a > amplitude_max:
                     return 1e6 * (1.0 + abs(a))
-                targets = {ma_lags[0]: float(theta[1]), ma_lags[1]: float(theta[2])}
+                targets = dict(zip(MA_TARGET_LAGS, map(float, theta[1:])))
                 return score(t_wave, float(a), targets)
 
             res = optimize.minimize(
@@ -249,7 +257,7 @@ def fit_square_wave(
                 method="Nelder-Mead",
                 options={"maxiter": 300, "fatol": 1e-8, "xatol": 1e-5, "adaptive": True},
             )
-            targets = {ma_lags[0]: float(res.x[1]), ma_lags[1]: float(res.x[2])}
+            targets = dict(zip(MA_TARGET_LAGS, map(float, res.x[1:])))
             cell = (float(res.fun), t_wave, float(res.x[0]), targets)
             cell_ok = bool(res.success)
         if evaluations > max_evaluations:

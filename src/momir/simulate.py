@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
-from scipy import optimize
 
-from .strategy import check_lookbacks, ir_matrix
+from .strategy import block_rows, check_lookbacks, ir_matrix
 from .timeseries import atomic_write_text, write_csv
 
 __all__ = [
@@ -134,9 +133,14 @@ def _width(spec: ProcessSpec, length: int) -> int:
     return length + (len(noise.coefficients) - 1 if isinstance(noise, MovingAverage) else 0)
 
 
-def innovations(spec: ProcessSpec, paths: int, length: int, seed) -> np.ndarray:
-    """Standard-normal draws behind ``paths`` series of ``length``, row k from path k's stream."""
-    return np.stack([path_rng(seed, k).standard_normal(_width(spec, length)) for k in range(paths)])
+def innovations(spec: ProcessSpec, paths: int, length: int, seed, first: int = 0) -> np.ndarray:
+    """Standard-normal draws behind ``paths`` series of ``length``.
+
+    Row k comes from path ``first + k``'s stream, so consecutive blocks of
+    paths stack to the rows of one draw.
+    """
+    width = _width(spec, length)
+    return np.stack([path_rng(seed, k).standard_normal(width) for k in range(first, first + paths)])
 
 
 def series(spec: ProcessSpec, eta: np.ndarray) -> np.ndarray:
@@ -195,11 +199,13 @@ def ma_from_target_acf(
     target or :class:`InfeasibleTargets` is raised.  The returned coefficients
     are scaled so a unit-sigma MA process has the requested variance.
 
-    The search fixes a_1 = 1 (autocorrelation is scale-free) and polishes a
-    warm start with a derivative-free simplex search on the squared ACF error.
-    The warm start puts each target value at its own lag and solves the shared
-    normalization s = sum(a^2) by the quadratic fixed point it induces; when
-    target lags do not interact this start is already exact.
+    The search fixes a_1 = 1 (autocorrelation is scale-free) and starts warm:
+    each target value goes at its own lag, and the shared normalization
+    s = sum(a^2) is solved by the quadratic fixed point it induces.  When no
+    two target lags differ by a target lag and sum(target^2) <= 1/4, this
+    start is exact and is returned as is.  Only when it misses some target by
+    more than ``tol`` is it polished, by a derivative-free simplex search on
+    the squared ACF error.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -229,28 +235,28 @@ def ma_from_target_acf(
             err += (got - target) ** 2
         return err
 
-    free = start[1:]
-    if targets and free.size:
+    def misses(coeffs: np.ndarray) -> dict[int, float]:
+        """Each target's miss above ``tol``."""
+        found = {lag: abs(theoretical_acf_of_ma(coeffs, lag) - t) for lag, t in targets.items()}
+        return {lag: m for lag, m in found.items() if m > tol}
+
+    coeffs = start
+    if misses(start):
+        from scipy import optimize
+
         best = optimize.minimize(
             acf_error,
-            free,
+            start[1:],
             method="Nelder-Mead",
             options={"maxiter": 20000, "maxfev": 40000, "xatol": 1e-12, "fatol": 1e-16, "adaptive": True},
         )
-        free = best.x
-        if acf_error(start[1:]) < best.fun:
-            free = start[1:]
-    coeffs = np.concatenate([[1.0], free]) if free.size else np.array([1.0])
-
-    misses = {
-        lag: abs(theoretical_acf_of_ma(coeffs, lag) - target)
-        for lag, target in targets.items()
-    }
-    if any(m > tol for m in misses.values()):
+        if acf_error(start[1:]) >= best.fun:
+            coeffs = np.concatenate([[1.0], best.x])
+    missed = misses(coeffs)
+    if missed:
         detail = ", ".join(
             f"lag {lag}: target {targets[lag]:+.6f} missed by {m:.2e}"
-            for lag, m in sorted(misses.items())
-            if m > tol
+            for lag, m in sorted(missed.items())
         )
         raise InfeasibleTargets(f"no MA({horizon}) process realizes the targets ({detail})")
     return coeffs * math.sqrt(variance / float(np.dot(coeffs, coeffs)))
@@ -291,12 +297,19 @@ def mc_ir_curve(
     Each path draws its own series (:func:`innovations`, :func:`series`) and is run
     through the momentum strategy at every lookback in the range; the MC
     standard error is the cross-path standard deviation over sqrt(paths).
+    Paths are drawn, built and scored one block at a time
+    (:func:`momir.strategy.block_rows`), so memory does not grow with
+    ``paths``.
     """
     ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1), length)
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    x = series(spec, innovations(spec, paths, length, seed))
-    per_path = ir_matrix(x, ns)
+    per_path = np.empty((paths, len(ns)))
+    step = block_rows(length)
+    for first in range(0, paths, step):
+        block = min(step, paths - first)
+        x = series(spec, innovations(spec, block, length, seed, first))
+        per_path[first : first + block] = ir_matrix(x, ns)
     ir_mean = per_path.mean(axis=0)
     if paths >= 2:
         ir_se = per_path.std(axis=0, ddof=1) / math.sqrt(paths)

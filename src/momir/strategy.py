@@ -140,6 +140,16 @@ def ir_standard_error(samples: int, periods_per_year: float) -> float:
 # constant payoff in double precision; the IR is reported as undefined there.
 DEGENERATE_SD_RTOL = 1e-12
 
+# Rows are scored in blocks of about this many elements, so each payoff
+# temporary stays cache-sized.  numpy reduces each row on its own, so every
+# statistic is bit-identical to a one-row-at-a-time run.
+IR_BLOCK_ELEMENTS = 2**16
+
+
+def block_rows(length: int) -> int:
+    """Rows of a (rows, length) matrix that make one block: at least one."""
+    return max(1, IR_BLOCK_ELEMENTS // length)
+
 
 def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row payoff mean, sample sd and IR at each lookback, each (rows, len(ns)).
@@ -149,10 +159,13 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """
     mean = np.empty((x.shape[0], len(ns)))
     sd = np.full_like(mean, np.nan)
-    for i, pays in enumerate(_payoffs(x, ns)):
-        mean[:, i] = pays.mean(axis=1)
-        if pays.shape[1] >= 2:
-            sd[:, i] = pays.std(axis=1, ddof=1)
+    step = block_rows(x.shape[1])
+    for lo in range(0, x.shape[0], step):
+        rows = slice(lo, lo + step)
+        for i, pays in enumerate(_payoffs(x[rows], ns)):
+            mean[rows, i] = pays.mean(axis=1)
+            if pays.shape[1] >= 2:
+                sd[rows, i] = pays.std(axis=1, ddof=1)
     defined = (sd > 0.0) & (sd > DEGENERATE_SD_RTOL * np.abs(mean))
     with np.errstate(divide="ignore", invalid="ignore"):
         ir = np.where(defined, mean / sd, np.nan)

@@ -1,13 +1,17 @@
 import datetime as dt
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momir
 from momir import simulate as simulate_mod
 from momir.cli import _build_parser, main
 from momir.simulate import IidGaussian, SquareWaveDrift, dump_process_spec
@@ -222,6 +226,17 @@ class TestSimulate:
 
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only by the fits that use it, so every other command
+    # starts without paying for it
+    src = str(Path(momir.__file__).resolve().parents[1])
+    code = ("import sys, momir.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "[]"
+
+
 CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
               "3,0.03,1,0.03,0.216,0.098,397"]
 
@@ -240,9 +255,10 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
         ("regimes --input {returns} --output-curve {tmp}/avg.csv --periods-per-year nan", None,
          "periods_per_year"),
         ("simulate --spec {spec} --n-min 5 --n-max 3 --seed 1", None, "lookbacks"),
+        ("theory --mu 0.1 --variance 2.25 --rho 0.1,x --n-max 5", None, "--rho, lag 2"),
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "zero-t-step", "ir-nan-ppy",
-         "regimes-nan-ppy", "empty-lookback-range"],
+         "regimes-nan-ppy", "empty-lookback-range", "theory-bad-rho"],
 )
 def test_bad_input_fails_naming_the_cause(
     tmp_path, capsys, monkeypatch, returns_csv, argv, bad_row, needle

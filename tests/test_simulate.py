@@ -21,7 +21,7 @@ from momir.simulate import (
     theoretical_acf_of_ma,
     write_mc_ir_curve_csv,
 )
-from momir.strategy import ir_curve
+from momir.strategy import block_rows, ir_curve, ir_matrix
 from momir.theory import ir_case1
 
 from oracles import sample_acf
@@ -153,6 +153,55 @@ class TestMaFromTargets:
         with pytest.raises(InfeasibleTargets, match="lag 1"):
             ma_from_target_acf({1: 0.6}, 2)
 
+    @pytest.fixture()
+    def polishes(self, monkeypatch):
+        """The argument tuples of every simplex polish; each polish still runs."""
+        from scipy import optimize
+
+        calls = []
+        minimize = optimize.minimize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", counted)
+        return calls
+
+    def test_non_interacting_lags_return_the_warm_start_unpolished(self, monkeypatch):
+        from scipy import optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact warm start was polished")
+
+        monkeypatch.setattr(optimize, "minimize", refuse)
+        targets = {1: 0.05, 20: 0.08}
+        coeffs = ma_from_target_acf(targets, 21, variance=2.25)
+        for lag, want in targets.items():
+            assert theoretical_acf_of_ma(coeffs, lag) == pytest.approx(want, abs=1e-12)
+        nonzero = np.flatnonzero(coeffs)
+        assert nonzero.tolist() == [0, 1, 20]
+
+    def test_interacting_lags_are_polished_to_tol(self, polishes):
+        targets = {1: 0.12, 2: 0.07}
+        coeffs = ma_from_target_acf(targets, 3)
+        assert len(polishes) == 1
+        for lag, want in targets.items():
+            assert abs(theoretical_acf_of_ma(coeffs, lag) - want) <= 1e-6
+
+    def test_feasible_targets_beyond_a_quarter_are_polished_to_tol(self, polishes):
+        targets = {1: 0.4, 3: 0.4}
+        assert sum(v * v for v in targets.values()) > 0.25
+        coeffs = ma_from_target_acf(targets, 8)
+        assert len(polishes) == 1
+        for lag, want in targets.items():
+            assert abs(theoretical_acf_of_ma(coeffs, lag) - want) <= 1e-6
+
+    def test_infeasible_targets_beyond_a_quarter_are_polished_then_reported(self, polishes):
+        with pytest.raises(InfeasibleTargets, match="lag 1"):
+            ma_from_target_acf({1: 0.6}, 2)
+        assert len(polishes) == 1
+
 
 class TestMcIrCurve:
     def test_zero_drift_ir_statistically_zero(self):
@@ -190,6 +239,15 @@ class TestMcIrCurve:
         )
         assert np.allclose(per_path.mean(axis=0), curve.ir_mean, rtol=0, atol=1e-8)
         assert np.allclose(single.ir, per_path[2], rtol=0, atol=0)
+
+    def test_path_blocks_give_the_one_shot_curve_bit_for_bit(self):
+        spec = SquareWaveDrift(0.05, 0.1, 40, IidGaussian(0.0, 1.0))
+        length = 2000
+        paths = 3 * block_rows(length) + 5
+        curve = mc_ir_curve(spec, (1, 20), paths=paths, length=length, seed=13)
+        per_path = ir_matrix(series(spec, innovations(spec, paths, length, 13)), range(1, 21))
+        np.testing.assert_array_equal(curve.ir_mean, per_path.mean(axis=0))
+        np.testing.assert_array_equal(curve.ir_se, per_path.std(axis=0, ddof=1) / math.sqrt(paths))
 
     def test_length_validation(self):
         with pytest.raises(ValueError, match="too short"):

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momir.strategy import (
+    IR_BLOCK_ELEMENTS,
     IrCurve,
     annualize,
+    block_rows,
     backtest,
     ir_curve,
     ir_matrix,
@@ -179,6 +181,22 @@ class TestIrMatrix:
             curve = ir_curve(x[row], (1, 50))
             want = curve.ir[np.isin(curve.n, ns)]
             assert np.allclose(got[row], want, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("length, blocks", [(2000, 3), (IR_BLOCK_ELEMENTS + 100, 3)],
+                             ids=["multi-row-blocks", "one-row-blocks"])
+    def test_block_boundaries_are_bit_identical_to_row_by_row_curves(self, length, blocks):
+        step = block_rows(length)
+        rows = blocks * step + (step // 2 + 1 if step > 1 else 0)
+        x = np.random.default_rng(31).standard_normal((rows, length)) + 0.02
+        # undefined IRs on either side of a block boundary: a zero row and a
+        # constant row (degenerate sd), plus one payoff at lookback length - 1
+        x[step - 1] = 0.0
+        x[min(step, rows - 1)] = 0.5
+        ns = [1, 2, 7, 40, length - 2, length - 1]
+        got = ir_matrix(x, ns)
+        want = np.array([[ir_curve(row, (n, n)).ir[0] for n in ns] for row in x])
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAnnualize:
