@@ -10,7 +10,6 @@ curves.  See the CLI (``momir --help``) for the file-based workflow.
 
 from .timeseries import (
     NormalizedReturnSeries,
-    Period,
     PriceSeries,
     ReturnSeries,
     log_returns,

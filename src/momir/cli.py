@@ -110,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    prices = timeseries.read_price_csv(args.input, period=timeseries.Period(args.frequency))
+    prices = timeseries.read_price_csv(args.input)
     n_in = len(prices)
-    if prices.period is timeseries.Period.DAILY:
+    if args.frequency == "daily":
         prices = timeseries.resample_to_weekly(prices)
     returns = timeseries.log_returns(prices)
     timeseries.write_series_csv(args.output, returns.dates, returns.returns)

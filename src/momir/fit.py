@@ -156,19 +156,19 @@ def fit_square_wave(
     paths: int = 120,
     length: int | None = None,
     seed: int = 0,
-    amplitude_max: float | None = None,
     max_evaluations: int = 20000,
 ) -> FitResult:
     """Fit the square-wave growth model to an empirical IR curve.
 
     Grid-searches integer periods over ``range(*t_range)`` and, inside each
-    cell, runs a derivative-free search over the amplitude (plus the target
-    autocorrelations at :data:`MA_TARGET_LAGS` when
-    ``noise_kind == 'ma_targets'``).  Candidates are
-    scored by a seeded common-random-numbers Monte Carlo estimate of the model
-    IR curve at the empirical lookbacks: every candidate series is built by
-    :func:`momir.simulate.series` from one innovation matrix drawn from the
-    seed, so re-scoring identical parameters is bit-stable.
+    cell, runs a derivative-free search over the amplitude in
+    [0, max(10 |mu_fixed|, sigma_fixed / 2)] (plus the target autocorrelations
+    at :data:`MA_TARGET_LAGS` when ``noise_kind == 'ma_targets'``).
+    Candidates are scored by a seeded common-random-numbers Monte Carlo
+    estimate of the model IR curve at the empirical lookbacks: every
+    candidate series is built by :func:`momir.simulate.series` from one
+    innovation matrix drawn from the seed, so re-scoring identical parameters
+    is bit-stable.
     ``length`` defaults to the series length implied by the curve's sample
     counts, which must then satisfy samples + n = length on every row, as on
     a curve written by ``ir``.  Raises if the period grid is empty or
@@ -198,8 +198,7 @@ def fit_square_wave(
         raise ValueError(
             f"series length {length} leaves fewer than two payoffs at lookback {int(ns[-1])}"
         )
-    if amplitude_max is None:
-        amplitude_max = max(10.0 * abs(mu_fixed), 0.5 * sigma_fixed)
+    amplitude_max = max(10.0 * abs(mu_fixed), 0.5 * sigma_fixed)
 
     from scipy import optimize
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .strategy import IrCurve, Z95, ir_curve, ir_standard_error
-from .timeseries import NormalizedReturnSeries, ReturnSeries, write_csv
+from .timeseries import NormalizedReturnSeries, ReturnSeries, last_per_key, write_csv
 
 __all__ = [
     "Segment",
@@ -185,9 +185,10 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
     For each candidate count k up to ``max_breaks`` (default: as many as the
     minimum segment length allows) the dynamic program finds the global
     least-squares placement; BIC(k) = n*ln(sse/n) + (3k+2)*ln(n) picks k, with
-    ties going to fewer breaks.  The reported SSE per candidate comes from an
-    exact per-segment refit, and an effectively-zero SSE is floored so that
-    noiseless data selects the minimal break count.
+    ties going to fewer breaks.  Each candidate's SSE is the dynamic program's
+    own optimal cost, floored at 1e-12 * sum(z^2) with z = y - y[0], so that
+    noiseless data selects the minimal break count at any scale.  Lines are
+    fitted only for the winning segmentation.
     """
     y = np.asarray(values, dtype=float)
     if min_segment < 2:
@@ -208,20 +209,15 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
     z = y - y[0]
     opt, argt = _dp_tables(z, min_segment, max_breaks)
     n = len(y)
-    scale = math.sqrt(float(np.mean(z * z)))
-    floor = n * (1e-13 * max(1.0, scale)) ** 2
-    best_k, best_bic, best_breaks = None, math.inf, []
-    for k in range(max_breaks + 1):
-        if not np.isfinite(opt[k, n]):
-            continue
-        breaks = _backtrack(argt, k, n)
-        refit_sse = _build_segmentation(z, breaks).rss
-        bic = n * math.log(max(refit_sse, floor) / n) + (3 * k + 2) * math.log(n)
-        if bic < best_bic:
-            best_k, best_bic, best_breaks = k, bic, breaks
-    if best_k is None:
+    ks = np.flatnonzero(np.isfinite(opt[:, n]))
+    if not ks.size:
         raise ValueError("no admissible segmentation found")
-    return _build_segmentation(y, best_breaks)
+    # The prefix-sum costs carry round-off relative to the series' own size;
+    # an SSE below this floor is noise, so noiseless data keeps the fewest breaks.
+    floor = max(1e-12 * float(z @ z), np.finfo(float).tiny)
+    bic = n * np.log(np.maximum(opt[ks, n], floor) / n) + (3 * ks + 2) * math.log(n)
+    best_k = int(ks[np.argmin(bic)])
+    return _build_segmentation(y, _backtrack(argt, best_k, n))
 
 
 def filter_regimes(seg: Segmentation, min_weeks: int = 70) -> Segmentation:
@@ -382,16 +378,7 @@ def average_ir_curve(curves: Sequence[IrCurve]) -> IrCurve:
 
 def monthly_last_indices(dates: Sequence[dt.date]) -> np.ndarray:
     """Index of the last observation inside each calendar month."""
-    idx = []
-    prev_key = None
-    for i, d in enumerate(dates):
-        key = (d.year, d.month)
-        if key == prev_key:
-            idx[-1] = i
-        else:
-            idx.append(i)
-            prev_key = key
-    return np.asarray(idx, dtype=int)
+    return last_per_key(dates, lambda d: (d.year, d.month))
 
 
 def weekly_segmentation(

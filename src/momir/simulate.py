@@ -45,6 +45,13 @@ __all__ = [
 
 RNG_ALGORITHM = "Philox(4x64, 10 rounds)"
 
+# Most standard-normal draws one call of :func:`innovations` may hold
+# (2^24 float64, 128 MiB); a larger request fails before anything is drawn.
+MAX_DRAW_ELEMENTS = 2**24
+
+# Largest miss of any target autocorrelation that :func:`ma_from_target_acf` accepts.
+ACF_TOL = 1e-6
+
 
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
@@ -137,9 +144,15 @@ def innovations(spec: ProcessSpec, paths: int, length: int, seed, first: int = 0
     """Standard-normal draws behind ``paths`` series of ``length``.
 
     Row k comes from path ``first + k``'s stream, so consecutive blocks of
-    paths stack to the rows of one draw.
+    paths stack to the rows of one draw.  A draw of more than
+    :data:`MAX_DRAW_ELEMENTS` fails naming the option that sized it.
     """
     width = _width(spec, length)
+    if paths * width > MAX_DRAW_ELEMENTS:
+        raise ValueError(
+            f"{paths} x {width} standard normals exceed the draw budget of "
+            f"{MAX_DRAW_ELEMENTS}; lower --length" + (" or --paths" if paths > 1 else "")
+        )
     return np.stack([path_rng(seed, k).standard_normal(width) for k in range(first, first + paths)])
 
 
@@ -190,22 +203,22 @@ def ma_from_target_acf(
     targets: Mapping[int, float],
     horizon: int,
     variance: float = 1.0,
-    tol: float = 1e-6,
 ) -> np.ndarray:
     """Find MA coefficients whose autocorrelation hits each target lag.
 
     ``targets`` maps lags (1 <= lag < horizon) to desired autocorrelations;
-    unlisted lags are unconstrained.  The match must be within ``tol`` at every
-    target or :class:`InfeasibleTargets` is raised.  The returned coefficients
-    are scaled so a unit-sigma MA process has the requested variance.
+    unlisted lags are unconstrained.  The match must be within :data:`ACF_TOL`
+    at every target or :class:`InfeasibleTargets` is raised.  The returned
+    coefficients are scaled so a unit-sigma MA process has the requested
+    variance.
 
     The search fixes a_1 = 1 (autocorrelation is scale-free) and starts warm:
     each target value goes at its own lag, and the shared normalization
     s = sum(a^2) is solved by the quadratic fixed point it induces.  When no
     two target lags differ by a target lag and sum(target^2) <= 1/4, this
     start is exact and is returned as is.  Only when it misses some target by
-    more than ``tol`` is it polished, by a derivative-free simplex search on
-    the squared ACF error.
+    more than :data:`ACF_TOL` is it polished, by a derivative-free simplex
+    search on the squared ACF error.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -228,17 +241,12 @@ def ma_from_target_acf(
 
     def acf_error(free: np.ndarray) -> float:
         a = np.concatenate([[1.0], free])
-        denom = float(np.dot(a, a))
-        err = 0.0
-        for lag, target in targets.items():
-            got = float(np.dot(a[: len(a) - lag], a[lag:])) / denom
-            err += (got - target) ** 2
-        return err
+        return sum((theoretical_acf_of_ma(a, lag) - t) ** 2 for lag, t in targets.items())
 
     def misses(coeffs: np.ndarray) -> dict[int, float]:
-        """Each target's miss above ``tol``."""
+        """Each target's miss above :data:`ACF_TOL`."""
         found = {lag: abs(theoretical_acf_of_ma(coeffs, lag) - t) for lag, t in targets.items()}
-        return {lag: m for lag, m in found.items() if m > tol}
+        return {lag: m for lag, m in found.items() if m > ACF_TOL}
 
     coeffs = start
     if misses(start):

@@ -10,21 +10,20 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import enum
 import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Period",
     "PriceSeries",
     "ReturnSeries",
     "NormalizedReturnSeries",
     "log_returns",
+    "last_per_key",
     "resample_to_weekly",
     "normalize",
     "read_csv",
@@ -33,13 +32,6 @@ __all__ = [
     "write_csv",
     "write_series_csv",
 ]
-
-
-class Period(str, enum.Enum):
-    """Sampling frequency of a series."""
-
-    DAILY = "daily"
-    WEEKLY = "weekly"
 
 
 def _check_dates(dates: Sequence[dt.date], what: str) -> None:
@@ -53,7 +45,7 @@ def _check_dates(dates: Sequence[dt.date], what: str) -> None:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Dated positive prices at a fixed sampling frequency.
+    """Dated positive prices.
 
     Invariants (checked on construction): strictly increasing dates, all
     prices strictly positive, at least two observations.
@@ -61,7 +53,6 @@ class PriceSeries:
 
     dates: tuple[dt.date, ...]
     prices: np.ndarray
-    period: Period = Period.DAILY
 
     def __post_init__(self) -> None:
         prices = np.asarray(self.prices, dtype=float)
@@ -90,7 +81,6 @@ class ReturnSeries:
 
     dates: tuple[dt.date, ...]
     returns: np.ndarray
-    period: Period
 
     def __post_init__(self) -> None:
         returns = np.asarray(self.returns, dtype=float)
@@ -134,33 +124,27 @@ class NormalizedReturnSeries:
 def log_returns(prices: PriceSeries) -> ReturnSeries:
     """Log returns ln(S[i+1]/S[i]), dated at the later observation.
 
-    The output has one fewer entry than the input and inherits its period.
+    The output has one fewer entry than the input.
     """
     r = np.diff(np.log(prices.prices))
-    return ReturnSeries(dates=prices.dates[1:], returns=r, period=prices.period)
+    return ReturnSeries(dates=prices.dates[1:], returns=r)
+
+
+def last_per_key(dates: Sequence[dt.date], key: Callable[[dt.date], Hashable]) -> np.ndarray:
+    """Index of the last date in each run of consecutive dates with an equal ``key``."""
+    keys = [key(d) for d in dates]
+    return np.asarray(
+        [i for i in range(len(keys)) if i + 1 == len(keys) or keys[i + 1] != keys[i]], dtype=int
+    )
 
 
 def resample_to_weekly(prices: PriceSeries) -> PriceSeries:
     """Keep the last available observation of each ISO week (Monday-start).
 
-    Weeks with no observations are skipped.  Requires daily input.
+    Weeks with no observations are skipped.
     """
-    if prices.period is not Period.DAILY:
-        raise ValueError(f"weekly resampling expects daily input, got {prices.period.value}")
-    dates: list[dt.date] = []
-    values: list[float] = []
-    prev_key: tuple[int, int] | None = None
-    for d, p in zip(prices.dates, prices.prices):
-        iso = d.isocalendar()
-        key = (iso[0], iso[1])
-        if key == prev_key:
-            dates[-1] = d
-            values[-1] = p
-        else:
-            dates.append(d)
-            values.append(p)
-            prev_key = key
-    return PriceSeries(dates=tuple(dates), prices=np.array(values), period=Period.WEEKLY)
+    idx = last_per_key(prices.dates, lambda d: d.isocalendar()[:2])
+    return PriceSeries(dates=tuple(prices.dates[i] for i in idx), prices=prices.prices[idx])
 
 
 def normalize(returns: ReturnSeries, p: int) -> NormalizedReturnSeries:
@@ -259,16 +243,16 @@ def _iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text.strip())
 
 
-def read_price_csv(path: str, period: Period = Period.DAILY) -> PriceSeries:
+def read_price_csv(path: str) -> PriceSeries:
     """Load a `date,price` CSV into a PriceSeries."""
     dates, prices = read_csv(path, ["date", "price"], [_iso_date, float])
-    return PriceSeries(dates=dates, prices=np.array(prices), period=period)
+    return PriceSeries(dates=dates, prices=np.array(prices))
 
 
-def read_value_csv(path: str, period: Period = Period.WEEKLY) -> ReturnSeries:
+def read_value_csv(path: str) -> ReturnSeries:
     """Load a `date,value` CSV into a ReturnSeries."""
     dates, values = read_csv(path, ["date", "value"], [_iso_date, float])
-    return ReturnSeries(dates=dates, returns=np.array(values), period=period)
+    return ReturnSeries(dates=dates, returns=np.array(values))
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -284,6 +284,35 @@ def test_bad_input_fails_naming_the_cause(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ir.csv", "returns.csv", "spec.json"]
 
 
+@pytest.mark.parametrize(
+    "argv, needles",
+    [
+        ("simulate --spec {spec} --n-max 3 --paths 1 --length 1000000000000 --seed 1",
+         ["--length"]),
+        ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed 1 "
+         "--length 1000000000000", ["--length", "--paths"]),
+    ],
+    ids=["simulate", "fit-squarewave"],
+)
+def test_oversized_draw_fails_naming_length(tmp_path, capsys, monkeypatch, argv, needles):
+    curve = tmp_path / "ir.csv"
+    curve.write_text("\n".join([",".join(IR_CURVE_HEADER), *CURVE_ROWS]) + "\n")
+    spec = tmp_path / "spec.json"
+    dump_process_spec(str(spec), IidGaussian(0.0, 1.0))
+
+    def stream(*args):
+        raise AssertionError("a random stream was opened before the draw size was checked")
+
+    monkeypatch.setattr(simulate_mod, "path_rng", stream)
+    line = argv.format(curve=curve, spec=spec)
+    code = main([*line.split(), "--output", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert all(needle in err[0] for needle in needles)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ir.csv", "spec.json"]
+
+
 class TestFitCommand:
     def test_stationary_fit_through_cli(self, returns_csv, tmp_path):
         curve_path = tmp_path / "ir.csv"

@@ -21,7 +21,7 @@ from momir.regimes import (
     write_regime_report_csv,
 )
 from momir.strategy import IrCurve, ir_curve
-from momir.timeseries import NormalizedReturnSeries, Period, ReturnSeries
+from momir.timeseries import NormalizedReturnSeries, ReturnSeries
 
 from oracles import brute_force_breaks, full_row_dp_tables, sample_acf
 
@@ -73,6 +73,33 @@ class TestDetectBreakpoints:
         rss = [best_segmentation(y, k, 10).rss for k in range(0, 5)]
         for a, b in zip(rss, rss[1:]):
             assert b <= a + 1e-9
+
+
+def noiseless_piecewise_linear(rng):
+    """Exact lines with alternating slopes and non-integer levels, breaks on a 40-sample grid."""
+    n = int(rng.integers(200, 401))
+    k = int(rng.integers(0, 4))
+    breaks = np.sort(rng.choice(np.arange(40, n - 39, 40), size=k, replace=False))
+    scale = 10.0 ** rng.uniform(-4, 5)
+    bounds = [0, *breaks.tolist(), n]
+    y = np.empty(n)
+    for s in range(k + 1):
+        slope = (-1) ** s * rng.uniform(0.2, 2.0)
+        level = rng.uniform(-50.0, 50.0)
+        y[bounds[s] : bounds[s + 1]] = scale * (level + slope * np.arange(bounds[s + 1] - bounds[s]))
+    return y, k
+
+
+def test_noiseless_data_selects_its_break_count_at_any_scale():
+    # the DP's costs carry round-off that grows with the series' size, so the
+    # SSE floor must scale with it for exact lines to keep the minimal count
+    wrong = []
+    for case in range(40):
+        y, k = noiseless_piecewise_linear(np.random.default_rng(5100 + case))
+        got = len(detect_breakpoints(y, min_segment=12, max_breaks=6).breakpoints)
+        if got != k:
+            wrong.append((case, k, got))
+    assert not wrong
 
 
 class TestShiftInvariance:
@@ -300,7 +327,7 @@ class TestWeeklyPipeline:
         values = drift + noise_sd * rng.standard_normal(n)
         start = dt.date(1990, 1, 5)
         dates = tuple(start + dt.timedelta(days=7 * i) for i in range(n))
-        return ReturnSeries(dates, values, Period.WEEKLY)
+        return ReturnSeries(dates, values)
 
     def test_weekly_segmentation_maps_monthly_break_to_week(self):
         returns = self.make_returns(noise_sd=0.0)

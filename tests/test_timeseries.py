@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momir.timeseries import (
-    Period,
     PriceSeries,
     ReturnSeries,
     log_returns,
@@ -26,12 +25,12 @@ def dates_from(start: dt.date, count: int, step_days: int = 7) -> tuple[dt.date,
     return tuple(start + dt.timedelta(days=step_days * i) for i in range(count))
 
 
-def price_series(values, start=dt.date(2000, 1, 3), period=Period.DAILY, step_days=1):
-    return PriceSeries(dates_from(start, len(values), step_days), np.asarray(values, float), period)
+def price_series(values, start=dt.date(2000, 1, 3), step_days=1):
+    return PriceSeries(dates_from(start, len(values), step_days), np.asarray(values, float))
 
 
 def weekly_returns(values, start=dt.date(2000, 1, 7)):
-    return ReturnSeries(dates_from(start, len(values)), np.asarray(values, float), Period.WEEKLY)
+    return ReturnSeries(dates_from(start, len(values)), np.asarray(values, float))
 
 
 class TestPriceSeries:
@@ -53,7 +52,6 @@ class TestLogReturns:
     def test_constant_prices_give_zero_returns(self):
         r = log_returns(price_series([100.0, 100.0, 100.0]))
         assert np.array_equal(r.returns, [0.0, 0.0])
-        assert r.period is Period.DAILY
 
     def test_single_step_e(self):
         r = log_returns(price_series([1.0, math.e]))
@@ -88,7 +86,6 @@ class TestResampleToWeekly:
         weekly = resample_to_weekly(series)
         assert weekly.dates == (dt.date(2000, 1, 7), dt.date(2000, 1, 14))
         assert np.array_equal(weekly.prices, [5.0, 10.0])
-        assert weekly.period is Period.WEEKLY
 
     def test_friday_holiday_falls_back_to_thursday(self):
         days = [dt.date(2000, 1, d) for d in (3, 4, 5, 6, 10, 11, 12, 13, 14)]
@@ -99,10 +96,6 @@ class TestResampleToWeekly:
         days = [dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(21)]
         weekly = resample_to_weekly(PriceSeries(tuple(days), np.linspace(10, 12, 21)))
         assert len(weekly) == 3
-
-    def test_requires_daily_input(self):
-        with pytest.raises(ValueError, match="daily"):
-            resample_to_weekly(price_series([1.0, 2.0], period=Period.WEEKLY, step_days=7))
 
 
 class TestNormalize:
