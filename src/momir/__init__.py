@@ -31,10 +31,8 @@ from .strategy import (
 from .theory import (
     MomentProfile,
     TheoreticalIr,
-    expected_return,
     ir_case1,
     ir_case2,
-    strategy_variance,
     theoretical_ir,
     theory_curve,
 )

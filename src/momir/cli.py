@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -247,11 +248,23 @@ _COMMANDS = {
 }
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """Fail before any read, draw or solve on a non-finite fit value or a negative seed."""
+    for name in ("fixed_sd", "mu_fixed", "sigma_fixed"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

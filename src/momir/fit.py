@@ -15,13 +15,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .strategy import IrCurve, ir_matrix
 from .simulate import (
-    IidGaussian, InfeasibleTargets, MovingAverage, ProcessSpec, SquareWaveDrift, innovations,
+    IidGaussian, InfeasibleTargets, MovingAverage, SquareWaveDrift, innovations,
     ma_from_target_acf, series,
 )
 from .theory import MomentProfile, realizability_violation, theory_curve
@@ -37,6 +36,9 @@ OVERFIT_POINTS_PER_PARAM = 4
 # (noise_kind 'ma_targets') fits: no two differ by a target lag, so each
 # target pair has an exact closed-form MA start.
 MA_TARGET_LAGS = (1, 20)
+
+# Most Monte Carlo candidates one square-wave fit scores; the next one raises.
+MAX_EVALUATIONS = 20000
 
 
 @dataclass(frozen=True)
@@ -156,23 +158,24 @@ def fit_square_wave(
     paths: int = 120,
     length: int | None = None,
     seed: int = 0,
-    max_evaluations: int = 20000,
 ) -> FitResult:
     """Fit the square-wave growth model to an empirical IR curve.
 
     Grid-searches integer periods over ``range(*t_range)`` and, inside each
-    cell, runs a derivative-free search over the amplitude in
-    [0, max(10 |mu_fixed|, sigma_fixed / 2)] (plus the target autocorrelations
-    at :data:`MA_TARGET_LAGS` when ``noise_kind == 'ma_targets'``).
-    Candidates are scored by a seeded common-random-numbers Monte Carlo
-    estimate of the model IR curve at the empirical lookbacks: every
-    candidate series is built by :func:`momir.simulate.series` from one
-    innovation matrix drawn from the seed, so re-scoring identical parameters
-    is bit-stable.
+    cell, runs a derivative-free search over theta = (amplitude, *targets):
+    the amplitude in [0, max(10 |mu_fixed|, sigma_fixed / 2)], plus the
+    target autocorrelations at :data:`MA_TARGET_LAGS` when
+    ``noise_kind == 'ma_targets'``.  One builder turns (period, theta) into a
+    process spec.  Candidates are scored by a seeded common-random-numbers
+    Monte Carlo estimate of the model IR curve at the empirical lookbacks:
+    every candidate series is built by :func:`momir.simulate.series` from one
+    innovation matrix, drawn from the seed and sized by the builder's spec
+    at theta = 0, so re-scoring identical parameters is bit-stable.  The
+    best cell is the first with the smallest rss.
     ``length`` defaults to the series length implied by the curve's sample
     counts, which must then satisfy samples + n = length on every row, as on
-    a curve written by ``ir``.  Raises if the period grid is empty or
-    ``max_evaluations`` Monte Carlo evaluations are exhausted.
+    a curve written by ``ir``.  Raises if the period grid is empty, and
+    before scoring a candidate beyond :data:`MAX_EVALUATIONS`.
     """
     if noise_kind not in ("iid", "ma_targets"):
         raise ValueError(f"noise_kind must be 'iid' or 'ma_targets', got {noise_kind!r}")
@@ -199,83 +202,70 @@ def fit_square_wave(
             f"series length {length} leaves fewer than two payoffs at lookback {int(ns[-1])}"
         )
     amplitude_max = max(10.0 * abs(mu_fixed), 0.5 * sigma_fixed)
+    lags = MA_TARGET_LAGS if noise_kind == "ma_targets" else ()
 
     from scipy import optimize
 
-    ma_horizon = max(MA_TARGET_LAGS) + 1
+    def spec(t_wave: int, theta) -> SquareWaveDrift:
+        if lags:
+            coefficients = ma_from_target_acf(dict(zip(lags, theta[1:])), max(lags) + 1)
+            noise = MovingAverage(0.0, coefficients, sigma_fixed)
+        else:
+            noise = IidGaussian(0.0, sigma_fixed)
+        return SquareWaveDrift(mu_fixed, theta[0], float(t_wave), noise)
 
-    def noise(targets: Mapping[int, float]) -> ProcessSpec:
-        if noise_kind == "iid":
-            return IidGaussian(0.0, sigma_fixed)
-        return MovingAverage(0.0, ma_from_target_acf(targets, ma_horizon), sigma_fixed)
-
-    # Every candidate is built from one draw (common random numbers), as wide
-    # as the longest noise filter needs.
-    width = ma_horizon if noise_kind == "ma_targets" else 1
-    eta = innovations(MovingAverage(0.0, (1.0,) * width, sigma_fixed), paths, length, seed)
+    # Every candidate is built from this one draw (common random numbers).
+    eta = innovations(spec(t_values[0], np.zeros(1 + len(lags))), paths, length, seed)
     evaluations = 0
 
-    def model_curve(t_wave: int, amplitude: float, targets: Mapping[int, float]) -> np.ndarray:
-        spec = SquareWaveDrift(mu_fixed, amplitude, float(t_wave), noise(targets))
-        return ir_matrix(series(spec, eta), ns).mean(axis=0)
+    def curve(t_wave: int, theta) -> np.ndarray:
+        return ir_matrix(series(spec(t_wave, theta), eta), ns).mean(axis=0)
 
-    def score(t_wave: int, amplitude: float, targets: Mapping[int, float]) -> float:
+    def score(theta, t_wave: int) -> float:
         nonlocal evaluations
+        theta = np.atleast_1d(theta)
+        # Only the simplex search can leave the amplitude bounds; such a point
+        # gets a penalty and is not counted as a scored candidate.
+        if theta[0] < 0 or theta[0] > amplitude_max:
+            return 1e6 * (1.0 + abs(theta[0]))
+        if evaluations >= MAX_EVALUATIONS:
+            raise RuntimeError(f"Monte Carlo budget of {MAX_EVALUATIONS} evaluations exhausted")
         evaluations += 1
         try:
-            diff = model_curve(t_wave, amplitude, targets) - irs
+            diff = curve(t_wave, theta) - irs
         except InfeasibleTargets:
             return 1e6
         return float(diff @ diff)
 
-    best: tuple[float, int, float, dict[int, float]] | None = None
-    converged = True
+    cells = []
     for t_wave in t_values:
-        if noise_kind == "iid":
-            res = optimize.minimize_scalar(
-                lambda a: score(t_wave, a, {}),
-                bounds=(0.0, amplitude_max),
-                method="bounded",
-                options={"xatol": 1e-4 * amplitude_max, "maxiter": 200},
-            )
-            cell = (float(res.fun), t_wave, float(res.x), {})
-            cell_ok = bool(res.success)
-        else:
-            start = np.array([abs(mu_fixed), 0.02, 0.02])
-
-            def nm_obj(theta: np.ndarray) -> float:
-                a = theta[0]
-                if a < 0 or a > amplitude_max:
-                    return 1e6 * (1.0 + abs(a))
-                targets = dict(zip(MA_TARGET_LAGS, map(float, theta[1:])))
-                return score(t_wave, float(a), targets)
-
+        if lags:
             res = optimize.minimize(
-                nm_obj,
-                start,
+                score,
+                np.r_[abs(mu_fixed), np.full(len(lags), 0.02)],
+                args=(t_wave,),
                 method="Nelder-Mead",
                 options={"maxiter": 300, "fatol": 1e-8, "xatol": 1e-5, "adaptive": True},
             )
-            targets = dict(zip(MA_TARGET_LAGS, map(float, res.x[1:])))
-            cell = (float(res.fun), t_wave, float(res.x[0]), targets)
-            cell_ok = bool(res.success)
-        if evaluations > max_evaluations:
-            raise RuntimeError(f"Monte Carlo budget exhausted after {evaluations} evaluations")
-        if best is None or cell[0] < best[0]:
-            best = cell
-            converged = cell_ok
-    assert best is not None
-    rss, t_hat, a_hat, targets_hat = best
-    parameters = {"t_wave": float(t_hat), "amplitude": a_hat}
-    parameters.update({f"rho_{lag}": v for lag, v in sorted(targets_hat.items())})
-    fitted = model_curve(t_hat, a_hat, targets_hat)
+        else:
+            res = optimize.minimize_scalar(
+                score,
+                bounds=(0.0, amplitude_max),
+                args=(t_wave,),
+                method="bounded",
+                options={"xatol": 1e-4 * amplitude_max, "maxiter": 200},
+            )
+        cells.append((float(res.fun), t_wave, np.atleast_1d(res.x), bool(res.success)))
+    rss, t_hat, theta_hat, converged = min(cells, key=lambda cell: cell[0])
+    parameters = {"t_wave": float(t_hat), "amplitude": float(theta_hat[0])}
+    parameters.update({f"rho_{lag}": float(v) for lag, v in zip(lags, theta_hat[1:])})
     return FitResult(
         parameters=parameters,
         rss=rss,
         iterations=evaluations,
         converged=converged,
         fitted_n=ns,
-        fitted_ir=fitted,
+        fitted_ir=curve(t_hat, theta_hat),
         settings={
             "model": "squarewave",
             "noise_kind": noise_kind,

@@ -280,7 +280,6 @@ class McIrCurve:
     paths: int
     length: int
     seed: int
-    rng: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", np.asarray(self.n, dtype=int))
@@ -412,4 +411,4 @@ def write_mc_ir_curve_csv(path: str, curve: McIrCurve) -> None:
         (n, m, se, curve.paths, curve.length, curve.seed)
         for n, m, se in zip(curve.n.tolist(), curve.ir_mean.tolist(), curve.ir_se.tolist())
     )
-    write_csv(path, MC_CURVE_HEADER, rows, comment=f"rng={curve.rng}")
+    write_csv(path, MC_CURVE_HEADER, rows, comment=f"rng={RNG_ALGORITHM}")

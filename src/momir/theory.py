@@ -32,8 +32,6 @@ from .timeseries import write_csv
 __all__ = [
     "MomentProfile",
     "TheoreticalIr",
-    "expected_return",
-    "strategy_variance",
     "theoretical_ir",
     "theory_curve",
     "realizability_violation",
@@ -139,16 +137,6 @@ def theory_curve(profile: MomentProfile, ns) -> tuple[np.ndarray, np.ndarray, np
     base = v * mu2 + v * v / ns + mu2 * v / ns
     variance = base + (v * v * (s1 * s1 + s2) + mu2 * v * (2.0 * ns * s1 + s2)) / (ns * ns)
     return mean, variance, mean / np.sqrt(variance)
-
-
-def expected_return(profile: MomentProfile, n: int) -> float:
-    """E[R] = mu^2 + (V/N) * sum of the first N autocorrelations."""
-    return theoretical_ir(profile, n).mean
-
-
-def strategy_variance(profile: MomentProfile, n: int) -> float:
-    """Var(R) of the one-period payoff, exact for a multivariate-Gaussian X."""
-    return theoretical_ir(profile, n).variance
 
 
 def theoretical_ir(profile: MomentProfile, n: int) -> TheoreticalIr:

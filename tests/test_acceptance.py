@@ -23,10 +23,8 @@ from momir.simulate import (
 from momir.strategy import IrCurve, annualize, backtest, ir_standard_error
 from momir.theory import (
     MomentProfile,
-    expected_return,
     ir_case1,
     ir_case2,
-    strategy_variance,
     theoretical_ir,
 )
 
@@ -80,8 +78,8 @@ def test_closed_form_moments_match_sampling_oracle():
                     mc_mean, se_mean = mean_with_se(pays)
                     mc_var, se_var = variance_with_se(pays)
                     profile = MomentProfile(mu, variance, rho)
-                    z_mean = abs(expected_return(profile, n) - mc_mean) / se_mean
-                    z_var = abs(strategy_variance(profile, n) - mc_var) / se_var
+                    z_mean = abs(theoretical_ir(profile, n).mean - mc_mean) / se_mean
+                    z_var = abs(theoretical_ir(profile, n).variance - mc_var) / se_var
                     checks += 2
                     for z_score, kind in ((z_mean, "mean"), (z_var, "var")):
                         if z_score > worst_z:

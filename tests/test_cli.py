@@ -256,9 +256,18 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "periods_per_year"),
         ("simulate --spec {spec} --n-min 5 --n-max 3 --seed 1", None, "lookbacks"),
         ("theory --mu 0.1 --variance 2.25 --rho 0.1,x --n-max 5", None, "--rho, lag 2"),
+        ("fit --input {curve} --model stationary --k-lags 1 --fixed-sd nan", None, "--fixed-sd"),
+        ("fit --input {curve} --model squarewave --mu-fixed nan --seed 1", None, "--mu-fixed"),
+        ("fit --input {curve} --model squarewave --mu-fixed inf --seed 1", None, "--mu-fixed"),
+        ("fit --input {curve} --model squarewave --mu-fixed 0.02 --sigma-fixed nan --seed 1",
+         None, "--sigma-fixed"),
+        ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed -1", None, "--seed"),
+        ("simulate --spec {spec} --n-max 3 --seed -1", None, "--seed"),
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "zero-t-step", "ir-nan-ppy",
-         "regimes-nan-ppy", "empty-lookback-range", "theory-bad-rho"],
+         "regimes-nan-ppy", "empty-lookback-range", "theory-bad-rho", "nan-fixed-sd",
+         "nan-mu-fixed", "inf-mu-fixed", "nan-sigma-fixed", "fit-negative-seed",
+         "simulate-negative-seed"],
 )
 def test_bad_input_fails_naming_the_cause(
     tmp_path, capsys, monkeypatch, returns_csv, argv, bad_row, needle

@@ -4,14 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
+from momir import fit as fit_mod
 from momir.fit import (
     FitResult,
     fit_moment_profile,
     fit_square_wave,
     write_fit_result_json,
 )
-from momir.simulate import IidGaussian, SquareWaveDrift, mc_ir_curve
-from momir.strategy import IrCurve
+from momir.simulate import (
+    IidGaussian, MovingAverage, SquareWaveDrift, ma_from_target_acf, mc_ir_curve,
+)
+from momir.strategy import IrCurve, ir_matrix
 from momir.theory import MomentProfile, theoretical_ir
 
 
@@ -165,20 +168,35 @@ class TestFitSquareWave:
         assert abs(result.parameters["amplitude"] - 0.15) <= 0.2 * 0.15
         assert result.converged
 
-    def test_fitted_curve_is_the_monte_carlo_curve_of_the_fit(self, empirical, tmp_path):
+    # The ma_targets search scores about 200 candidates, so it fits every
+    # tenth lookback of the curve to stay fast.
+    @pytest.mark.parametrize(
+        "noise_kind, rows", [("iid", 1), ("ma_targets", 10)], ids=["iid", "ma_targets"]
+    )
+    def test_fitted_curve_is_the_monte_carlo_curve_of_the_fit(
+        self, empirical, tmp_path, noise_kind, rows
+    ):
         # The fit scores candidates on the same series builder that mc_ir_curve
-        # uses, so its fitted curve is that curve, bit for bit.
+        # uses, so its fitted curve is that curve, bit for bit.  For MA noise
+        # this also pins the draw width: length plus the 20 extra innovations
+        # of a 21-coefficient filter.
+        columns = ("n", "mean", "sd", "ir", "stderr", "samples")
+        curve = IrCurve(**{c: getattr(empirical, c)[::rows] for c in columns})
+
         def fit():
             return fit_square_wave(
-                empirical, mu_fixed=0.075, sigma_fixed=1.5, t_range=(180, 180, 10),
-                paths=20, length=2000, seed=5,
+                curve, mu_fixed=0.075, sigma_fixed=1.5, noise_kind=noise_kind,
+                t_range=(180, 180, 10), paths=20, length=2000, seed=5,
             )
 
         result = fit()
-        spec = SquareWaveDrift(
-            0.075, result.parameters["amplitude"], result.parameters["t_wave"],
-            IidGaussian(0.0, 1.5),
-        )
+        params = result.parameters
+        if noise_kind == "iid":
+            noise = IidGaussian(0.0, 1.5)
+        else:
+            targets = {lag: params[f"rho_{lag}"] for lag in (1, 20)}
+            noise = MovingAverage(0.0, tuple(ma_from_target_acf(targets, 21)), 1.5)
+        spec = SquareWaveDrift(0.075, params["amplitude"], params["t_wave"], noise)
         ns = result.fitted_n
         mc = mc_ir_curve(spec, (int(ns[0]), int(ns[-1])), paths=20, length=2000, seed=5)
         assert np.array_equal(result.fitted_ir, mc.ir_mean[ns - ns[0]])
@@ -215,12 +233,22 @@ class TestFitSquareWave:
         with pytest.raises(ValueError, match="period grid"):
             fit_square_wave(empirical, 0.075, 1.5, t_range=(200, 100, 10), seed=0)
 
-    def test_budget_exhaustion_raises(self, empirical):
+    def test_budget_exhaustion_raises(self, empirical, monkeypatch):
+        # The budget caps scored candidates inside a period cell, not whole cells.
+        scored = []
+
+        def counting_ir_matrix(x, ns):
+            scored.append(len(ns))
+            return ir_matrix(x, ns)
+
+        monkeypatch.setattr(fit_mod, "MAX_EVALUATIONS", 3)
+        monkeypatch.setattr(fit_mod, "ir_matrix", counting_ir_matrix)
         with pytest.raises(RuntimeError, match="budget"):
             fit_square_wave(
                 empirical, mu_fixed=0.075, sigma_fixed=1.5, t_range=(140, 220, 10),
-                paths=20, seed=1, max_evaluations=3,
+                paths=20, seed=1,
             )
+        assert len(scored) == 3
 
 
 class TestSquareWaveLength:

@@ -4,11 +4,9 @@ import pytest
 
 from momir.theory import (
     MomentProfile,
-    expected_return,
     ir_case1,
     ir_case2,
     realizability_violation,
-    strategy_variance,
     theoretical_ir,
     write_theory_curve_csv,
 )
@@ -82,20 +80,21 @@ class TestExpectedReturn:
     def test_reduces_to_squared_drift(self):
         p = MomentProfile(0.5, 1.0)
         for n in (1, 3, 17):
-            assert expected_return(p, n) == 0.25
+            assert theoretical_ir(p, n).mean == 0.25
 
     def test_single_lag(self):
-        assert expected_return(MomentProfile(0.0, 2.0, (0.1,)), 1) == pytest.approx(0.2, abs=1e-15)
+        p = MomentProfile(0.0, 2.0, (0.1,))
+        assert theoretical_ir(p, 1).mean == pytest.approx(0.2, abs=1e-15)
 
     def test_zero_everything(self):
         p = MomentProfile(0.0, 1.0)
-        assert all(expected_return(p, n) == 0.0 for n in range(1, 10))
+        assert all(theoretical_ir(p, n).mean == 0.0 for n in range(1, 10))
 
     @pytest.mark.parametrize("mu,variance,rho", PROFILES)
     def test_matches_literal_formula(self, mu, variance, rho):
         p = MomentProfile(mu, variance, rho)
         for n in (1, 2, 3, 7, 12):
-            assert expected_return(p, n) == pytest.approx(
+            assert theoretical_ir(p, n).mean == pytest.approx(
                 eq_mean_literal(mu, variance, rho, n), rel=1e-14, abs=1e-16
             )
 
@@ -104,20 +103,20 @@ class TestStrategyVariance:
     def test_iid_zero_drift(self):
         p = MomentProfile(0.0, 1.5)
         for n in (1, 2, 5):
-            assert strategy_variance(p, n) == pytest.approx(1.5**2 / n, rel=1e-15)
+            assert theoretical_ir(p, n).variance == pytest.approx(1.5**2 / n, rel=1e-15)
 
     def test_iid_with_drift_closed_form(self):
         mu, v = 0.3, 0.7
         p = MomentProfile(mu, v)
         for n in (1, 4, 9):
             want = (v * v + mu * mu * v) / n + mu * mu * v
-            assert strategy_variance(p, n) == pytest.approx(want, rel=1e-14)
+            assert theoretical_ir(p, n).variance == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("mu,variance,rho", PROFILES)
     def test_matches_literal_double_sums(self, mu, variance, rho):
         p = MomentProfile(mu, variance, rho)
         for n in (1, 2, 3, 7, 12, 43, 400):
-            assert strategy_variance(p, n) == pytest.approx(
+            assert theoretical_ir(p, n).variance == pytest.approx(
                 eq_variance_literal(mu, variance, rho, n), rel=1e-13
             )
 
@@ -128,8 +127,8 @@ class TestStrategyVariance:
         mc_mean, se_mean = mean_with_se(pays)
         mc_var, se_var = variance_with_se(pays)
         p = MomentProfile(mu, variance, rho)
-        assert abs(expected_return(p, n) - mc_mean) < 3 * se_mean
-        assert abs(strategy_variance(p, n) - mc_var) < 3 * se_var
+        assert abs(theoretical_ir(p, n).mean - mc_mean) < 3 * se_mean
+        assert abs(theoretical_ir(p, n).variance - mc_var) < 3 * se_var
 
 
 class TestTheoreticalIr:
@@ -154,11 +153,11 @@ class TestTheoreticalIr:
         for k in (0.5, 2.0, 7.0):
             scaled = MomentProfile(k * 0.1, k * k * 1.0, rho)
             for n in (1, 3, 10):
-                assert expected_return(scaled, n) == pytest.approx(
-                    k * k * expected_return(base, n), rel=1e-10
+                assert theoretical_ir(scaled, n).mean == pytest.approx(
+                    k * k * theoretical_ir(base, n).mean, rel=1e-10
                 )
-                assert strategy_variance(scaled, n) == pytest.approx(
-                    k**4 * strategy_variance(base, n), rel=1e-10
+                assert theoretical_ir(scaled, n).variance == pytest.approx(
+                    k**4 * theoretical_ir(base, n).variance, rel=1e-10
                 )
                 assert theoretical_ir(scaled, n).ir == pytest.approx(
                     theoretical_ir(base, n).ir, rel=1e-10
