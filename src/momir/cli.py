@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ir.add_argument("--p", type=int, default=10, help="normalization window (periods)")
     p_ir.add_argument("--n-min", type=int, default=1)
     p_ir.add_argument("--n-max", type=int, required=True)
-    p_ir.add_argument("--periods-per-year", type=float, default=52.0)
 
     p_reg = sub.add_parser("regimes", help="returns -> regime report + averaged IR curve")
     p_reg.add_argument("--input", required=True, help="return CSV with header date,value")
@@ -71,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--threshold-n", type=int, default=20, help="case I/II lookback split")
     p_reg.add_argument("--min-segment-months", type=int, default=12)
     p_reg.add_argument("--max-breaks", type=int, default=None)
-    p_reg.add_argument("--periods-per-year", type=float, default=52.0)
 
     p_sim = sub.add_parser("simulate", help="process spec JSON -> Monte Carlo IR curve CSV")
     p_sim.add_argument("--spec", required=True, help="JSON process spec with a 'variant' field")
@@ -130,7 +128,7 @@ def _cmd_ir(args: argparse.Namespace) -> int:
         )
     x = timeseries.normalize(returns, args.p)
     log.info("normalized %d returns; mean |X| = %.3f", len(x), timeseries.mean_abs_level(x))
-    curve = strategy.ir_curve(x, (args.n_min, args.n_max), args.periods_per_year)
+    curve = strategy.ir_curve(x, (args.n_min, args.n_max))
     strategy.write_ir_curve_csv(args.output, curve)
     undefined = int(np.sum(~np.isfinite(curve.ir)))
     if undefined:
@@ -165,11 +163,7 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
         piece = timeseries.NormalizedReturnSeries(
             dates=x.dates[start:end], values=x.values[start:end], window=x.window
         )
-        stats.append(
-            regimes_mod.regime_stats(
-                piece, (args.n_min, args.n_max), args.threshold_n, args.periods_per_year
-            )
-        )
+        stats.append(regimes_mod.regime_stats(piece, (args.n_min, args.n_max), args.threshold_n))
     if not stats:
         raise ValueError("no regime of the requested minimum length survived")
     regimes_mod.write_regime_report_csv(args.output, stats)

@@ -289,12 +289,7 @@ class RegimeStats:
     curve: IrCurve
 
 
-def regime_stats(
-    x,
-    n_range: tuple[int, int],
-    threshold_n: int = 20,
-    periods_per_year: float = 52.0,
-) -> RegimeStats:
+def regime_stats(x, n_range: tuple[int, int], threshold_n: int = 20) -> RegimeStats:
     """IR curve, lag-1 autocorrelation, and case classification for one regime.
 
     The regime is drift-driven (case I) exactly when the lookback with the
@@ -308,7 +303,7 @@ def regime_stats(
         values = np.asarray(x, dtype=float)
         span = (None, None)
     weeks = len(values)
-    curve = ir_curve(values, n_range, periods_per_year)
+    curve = ir_curve(values, n_range)
     ann = curve.ir_annualized
     if not np.any(np.isfinite(ann)):
         raise ValueError("IR undefined at every lookback in this regime")
@@ -325,7 +320,7 @@ def regime_stats(
         acf_se=acf1.se95,
         max_ir_annualized=float(ann[best]),
         max_ir_lookback=int(curve.n[best]),
-        ir_se=ir_standard_error(weeks, periods_per_year),
+        ir_se=ir_standard_error(weeks),
         classification=RegimeCase.CASE_I if int(curve.n[best]) > threshold_n else RegimeCase.CASE_II,
         curve=curve,
     )
@@ -343,8 +338,6 @@ def average_ir_curve(curves: Sequence[IrCurve]) -> IrCurve:
     for c in curves[1:]:
         if len(c.n) != len(base.n) or np.any(c.n != base.n):
             raise ValueError("IR curves cover different lookback ranges")
-        if c.periods_per_year != base.periods_per_year:
-            raise ValueError("IR curves use different annualization factors")
     irs = np.vstack([c.ir for c in curves])
     means = np.vstack([c.mean for c in curves])
     sds = np.vstack([c.sd for c in curves])
@@ -359,15 +352,7 @@ def average_ir_curve(curves: Sequence[IrCurve]) -> IrCurve:
             sem[multi] = spread[multi] / np.sqrt(count[multi])
         avg_mean = np.nanmean(means, axis=0)
         avg_sd = np.nanmean(sds, axis=0)
-    return IrCurve(
-        n=base.n,
-        mean=avg_mean,
-        sd=avg_sd,
-        ir=avg_ir,
-        stderr=sem,
-        samples=count,
-        periods_per_year=base.periods_per_year,
-    )
+    return IrCurve(n=base.n, mean=avg_mean, sd=avg_sd, ir=avg_ir, stderr=sem, samples=count)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ __all__ = [
 
 RNG_ALGORITHM = "Philox(4x64, 10 rounds)"
 
-# Most standard-normal draws one call of :func:`innovations` may hold
-# (2^24 float64, 128 MiB); a larger request fails before anything is drawn.
+# Most float64 cells (2^24, 128 MiB) that one draw of standard normals, or
+# the per-path IR table of :func:`mc_ir_curve`, may hold; a larger request
+# fails before anything is allocated.
 MAX_DRAW_ELEMENTS = 2**24
 
 # Largest miss of any target autocorrelation that :func:`ma_from_target_acf` accepts.
@@ -134,10 +135,24 @@ def square_wave(t: np.ndarray, t_wave: float) -> np.ndarray:
     return np.where(phase <= t_wave / 2.0, 1.0, -1.0)
 
 
-def _width(spec: ProcessSpec, length: int) -> int:
-    """Draws behind one series of ``length``: an MA of K coefficients needs K - 1 more."""
+def _check_budget(rows: int, columns: int, what: str, options: str) -> None:
+    """Fail naming ``options`` when rows x columns exceeds :data:`MAX_DRAW_ELEMENTS`."""
+    if rows * columns > MAX_DRAW_ELEMENTS:
+        raise ValueError(
+            f"{rows} x {columns} {what} exceed the budget of {MAX_DRAW_ELEMENTS}; lower {options}"
+        )
+
+
+def _width(spec: ProcessSpec, length: int, paths: int) -> int:
+    """Draws behind one series of ``length``: an MA of K coefficients needs K - 1 more.
+
+    ``paths`` such series must fit the draw budget.
+    """
     noise = spec.noise if isinstance(spec, SquareWaveDrift) else spec
-    return length + (len(noise.coefficients) - 1 if isinstance(noise, MovingAverage) else 0)
+    width = length + (len(noise.coefficients) - 1 if isinstance(noise, MovingAverage) else 0)
+    _check_budget(paths, width, "standard normals",
+                  "--length" + (" or --paths" if paths > 1 else ""))
+    return width
 
 
 def innovations(spec: ProcessSpec, paths: int, length: int, seed, first: int = 0) -> np.ndarray:
@@ -147,12 +162,7 @@ def innovations(spec: ProcessSpec, paths: int, length: int, seed, first: int = 0
     paths stack to the rows of one draw.  A draw of more than
     :data:`MAX_DRAW_ELEMENTS` fails naming the option that sized it.
     """
-    width = _width(spec, length)
-    if paths * width > MAX_DRAW_ELEMENTS:
-        raise ValueError(
-            f"{paths} x {width} standard normals exceed the draw budget of "
-            f"{MAX_DRAW_ELEMENTS}; lower --length" + (" or --paths" if paths > 1 else "")
-        )
+    width = _width(spec, length, paths)
     return np.stack([path_rng(seed, k).standard_normal(width) for k in range(first, first + paths)])
 
 
@@ -176,7 +186,8 @@ def generate(spec: ProcessSpec, length: int, seed) -> np.ndarray:
     """Draw one series of the given length; bit-identical for equal (spec, seed)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    return series(spec, path_rng(seed).standard_normal(_width(spec, length)))
+    width = _width(spec, length, 1)
+    return series(spec, path_rng(seed).standard_normal(width))
 
 
 def theoretical_acf_of_ma(coefficients, lag: int) -> float:
@@ -199,18 +210,13 @@ class InfeasibleTargets(ValueError):
     """Raised when no MA process can realize the requested autocorrelations."""
 
 
-def ma_from_target_acf(
-    targets: Mapping[int, float],
-    horizon: int,
-    variance: float = 1.0,
-) -> np.ndarray:
+def ma_from_target_acf(targets: Mapping[int, float], horizon: int) -> np.ndarray:
     """Find MA coefficients whose autocorrelation hits each target lag.
 
     ``targets`` maps lags (1 <= lag < horizon) to desired autocorrelations;
     unlisted lags are unconstrained.  The match must be within :data:`ACF_TOL`
     at every target or :class:`InfeasibleTargets` is raised.  The returned
-    coefficients are scaled so a unit-sigma MA process has the requested
-    variance.
+    coefficients are scaled so a unit-sigma MA process has unit variance.
 
     The search fixes a_1 = 1 (autocorrelation is scale-free) and starts warm:
     each target value goes at its own lag, and the shared normalization
@@ -226,8 +232,6 @@ def ma_from_target_acf(
     for lag in targets:
         if not (1 <= lag < horizon):
             raise ValueError(f"target lag {lag} outside 1..{horizon - 1}")
-    if variance <= 0:
-        raise ValueError("variance must be positive")
 
     start = np.zeros(horizon)
     start[0] = 1.0
@@ -267,7 +271,7 @@ def ma_from_target_acf(
             for lag, m in sorted(missed.items())
         )
         raise InfeasibleTargets(f"no MA({horizon}) process realizes the targets ({detail})")
-    return coeffs * math.sqrt(variance / float(np.dot(coeffs, coeffs)))
+    return coeffs * math.sqrt(1.0 / float(np.dot(coeffs, coeffs)))
 
 
 @dataclass(frozen=True)
@@ -305,12 +309,13 @@ def mc_ir_curve(
     through the momentum strategy at every lookback in the range; the MC
     standard error is the cross-path standard deviation over sqrt(paths).
     Paths are drawn, built and scored one block at a time
-    (:func:`momir.strategy.block_rows`), so memory does not grow with
-    ``paths``.
+    (:func:`momir.strategy.block_rows`), so the draw does not grow with
+    ``paths``; the per-path IR table does, up to :data:`MAX_DRAW_ELEMENTS`.
     """
     ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1), length)
     if paths < 1:
         raise ValueError("paths must be >= 1")
+    _check_budget(paths, len(ns), "per-path IRs", "--paths or --n-max")
     per_path = np.empty((paths, len(ns)))
     step = block_rows(length)
     for first in range(0, paths, step):

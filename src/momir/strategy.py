@@ -4,7 +4,8 @@ The signal at time t is the simple moving average m_t(N) of the last N
 normalized returns; the position held into t+1 is m_t(N) itself (long when
 positive, short when negative), so the per-period payoff is m_t(N) * X_{t+1}.
 The information ratio (IR) for a lookback N is the mean payoff divided by the
-payoff standard deviation; annualization multiplies by sqrt(periods per year).
+payoff standard deviation.  Every series is weekly, so annualization
+multiplies by sqrt(PERIODS_PER_YEAR).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .timeseries import NormalizedReturnSeries, read_csv, write_csv
 
 __all__ = [
+    "PERIODS_PER_YEAR",
     "IrCurve",
     "check_lookbacks",
     "signal",
@@ -31,6 +33,9 @@ __all__ = [
 
 # 95% normal critical value used in every standard-error rule below.
 Z95 = 1.96
+
+# Every series momir analyses is weekly; :func:`annualize` is the one rule that uses this.
+PERIODS_PER_YEAR = 52
 
 
 def _values(x) -> np.ndarray:
@@ -55,18 +60,13 @@ def check_lookbacks(ns, length: int | None = None) -> np.ndarray:
     return arr
 
 
-def _check_periods_per_year(periods_per_year: float) -> None:
-    if not (math.isfinite(periods_per_year) and periods_per_year > 0):
-        raise ValueError(f"periods_per_year must be finite and positive, got {periods_per_year}")
-
-
 @dataclass(frozen=True)
 class IrCurve:
     """Per-lookback strategy statistics.
 
     ``ir`` holds the per-period information ratio and is NaN where the payoff
     standard deviation vanishes (undefined, never +/-inf).  ``stderr`` is the
-    annualized 95% half-width Z95 * sqrt(periods_per_year / samples).
+    annualized 95% half-width Z95 * sqrt(PERIODS_PER_YEAR / samples).
     """
 
     n: np.ndarray
@@ -75,7 +75,6 @@ class IrCurve:
     ir: np.ndarray
     stderr: np.ndarray
     samples: np.ndarray
-    periods_per_year: float = 52.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", np.asarray(self.n, dtype=int))
@@ -88,7 +87,7 @@ class IrCurve:
 
     @property
     def ir_annualized(self) -> np.ndarray:
-        return self.ir * math.sqrt(self.periods_per_year)
+        return annualize(self.ir)
 
     def __len__(self) -> int:
         return len(self.n)
@@ -128,12 +127,11 @@ def backtest(x, n: int) -> np.ndarray:
     return next(_payoffs(values, check_lookbacks([n], len(values))))
 
 
-def ir_standard_error(samples: int, periods_per_year: float) -> float:
-    """Annualized 95% half-width for an estimated IR: Z95 * sqrt(ppy / samples)."""
+def ir_standard_error(samples: int) -> float:
+    """Annualized 95% half-width for an estimated IR: Z95 * sqrt(PERIODS_PER_YEAR / samples)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_periods_per_year(periods_per_year)
-    return Z95 * math.sqrt(periods_per_year) / math.sqrt(samples)
+    return annualize(Z95) / math.sqrt(samples)
 
 
 # Payoff spreads below this fraction of the mean are indistinguishable from a
@@ -172,23 +170,19 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return mean, sd, ir
 
 
-def ir_curve(x, n_range: tuple[int, int], periods_per_year: float = 52.0) -> IrCurve:
+def ir_curve(x, n_range: tuple[int, int]) -> IrCurve:
     """Backtest every lookback in [n_min, n_max] and collect IR statistics."""
     values = _values(x)
     ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1), len(values))
     samples = len(values) - ns
-    stderr = [ir_standard_error(int(s), periods_per_year) for s in samples]
+    stderr = [ir_standard_error(int(s)) for s in samples]
     mean, sd, ir = (v[0] for v in _ir_stats(values[None, :], ns))
-    return IrCurve(
-        n=ns, mean=mean, sd=sd, ir=ir, stderr=stderr, samples=samples,
-        periods_per_year=periods_per_year,
-    )
+    return IrCurve(n=ns, mean=mean, sd=sd, ir=ir, stderr=stderr, samples=samples)
 
 
-def annualize(ir_per_period: float, periods_per_year: float) -> float:
-    """Scale a per-period IR to annual units: ir * sqrt(periods_per_year)."""
-    _check_periods_per_year(periods_per_year)
-    return ir_per_period * math.sqrt(periods_per_year)
+def annualize(ir_per_period):
+    """Scale a per-period IR (a float or an array) to annual units: ir * sqrt(PERIODS_PER_YEAR)."""
+    return ir_per_period * math.sqrt(PERIODS_PER_YEAR)
 
 
 def ir_matrix(x_matrix: np.ndarray, lookbacks) -> np.ndarray:
@@ -223,9 +217,9 @@ def _number(text: str) -> float:
     return float(text) if text.strip() else math.nan
 
 
-def read_ir_curve_csv(path: str, periods_per_year: float = 52.0) -> IrCurve:
+def read_ir_curve_csv(path: str) -> IrCurve:
     """Load an IR-curve CSV written by :func:`write_ir_curve_csv`."""
     n, mean, sd, ir, _, stderr, samples = read_csv(
         path, IR_CURVE_HEADER, [int, _number, _number, _number, _number, _number, int]
     )
-    return IrCurve(n, mean, sd, ir, stderr, samples, periods_per_year)
+    return IrCurve(n, mean, sd, ir, stderr, samples)

@@ -250,9 +250,18 @@ def read_price_csv(path: str) -> PriceSeries:
 
 
 def read_value_csv(path: str) -> ReturnSeries:
-    """Load a `date,value` CSV into a ReturnSeries."""
+    """Load a weekly `date,value` CSV into a ReturnSeries.
+
+    The median gap between consecutive dates must be 5 to 9 days: market
+    closures pass, daily or monthly returns fail naming the gap.
+    """
     dates, values = read_csv(path, ["date", "value"], [_iso_date, float])
-    return ReturnSeries(dates=dates, returns=np.array(values))
+    series = ReturnSeries(dates=dates, returns=np.array(values))
+    gaps = [(b - a).days for a, b in zip(dates, dates[1:])]
+    if gaps and not 5 <= np.median(gaps) <= 9:
+        raise ValueError(f"{path}: median gap of {np.median(gaps):g} days between dates; "
+                         "returns must be weekly")
+    return series
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -146,14 +146,14 @@ def test_zero_drift_worked_example_against_oracle():
     mc_ir, mc_se = ir_with_batch_se(pays)
     agree = abs(formula - mc_ir) < 3.0 * mc_se
     delta_quoted = formula - 0.0422
-    ann = annualize(0.0422, 52)
+    ann = annualize(0.0422)
     ann_ok = abs(ann - 0.304) <= 1e-3
     report(
         "zero-drift worked example vs oracle",
         agree and ann_ok,
         f"closed form {formula:.6f}, oracle {mc_ir:.6f} +- {mc_se:.6f}; "
         f"delta vs quoted 0.0422 = {delta_quoted:+.6f}; "
-        f"annualize(0.0422, 52) = {ann:.4f}",
+        f"annualize(0.0422) = {ann:.4f}",
     )
 
 
@@ -316,7 +316,7 @@ def test_square_wave_ir_oscillation():
 
 def test_ma_noise_lifts_short_lookback_ir():
     seed = 314159
-    coeffs = tuple(ma_from_target_acf({1: 0.05, 20: 0.08}, 21, variance=1.0))
+    coeffs = tuple(ma_from_target_acf({1: 0.05, 20: 0.08}, 21))
     ma_spec = SquareWaveDrift(0.075, 0.15, 180, MovingAverage(0.0, coeffs, 1.5))
     iid_spec = SquareWaveDrift(0.075, 0.15, 180, IidGaussian(0.0, 1.5))
     ma_curve = mc_ir_curve(ma_spec, (1, 2), paths=500, length=6068, seed=seed)
@@ -402,9 +402,9 @@ SE_CALIBRATION = [
 def test_ir_standard_error_calibration():
     inside = sum(
         1 for weeks, se in SE_CALIBRATION
-        if abs(ir_standard_error(weeks, 52.0) - se) <= 0.05
+        if abs(ir_standard_error(weeks) - se) <= 0.05
     )
-    example = ir_standard_error(117, 52.0)
+    example = ir_standard_error(117)
     report(
         "IR standard-error calibration",
         inside >= 40 and abs(example - 1.33) <= 0.05,

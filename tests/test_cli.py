@@ -1,3 +1,4 @@
+import argparse
 import datetime as dt
 import json
 import math
@@ -237,6 +238,31 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+# Every option of every subcommand, in declaration order: adding or removing a
+# settable value shows up as an edit to this table.
+CLI_OPTIONS = {
+    "ingest": ["--input", "--output", "--frequency"],
+    "ir": ["--input", "--output", "--p", "--n-min", "--n-max"],
+    "regimes": ["--input", "--output", "--output-curve", "--p", "--n-min", "--n-max",
+                "--min-weeks", "--threshold-n", "--min-segment-months", "--max-breaks"],
+    "simulate": ["--spec", "--output", "--n-min", "--n-max", "--paths", "--length", "--seed"],
+    "fit": ["--input", "--output", "--model", "--k-lags", "--fixed-sd", "--mu-fixed",
+            "--sigma-fixed", "--noise-kind", "--t-min", "--t-max", "--t-step", "--paths",
+            "--length", "--seed"],
+    "theory": ["--output", "--mu", "--variance", "--rho", "--n-min", "--n-max"],
+}
+
+
+def test_each_subcommand_has_exactly_the_pinned_options():
+    parser = _build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, sub in commands.items()
+    }
+    assert got == CLI_OPTIONS
+
+
 CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
               "3,0.03,1,0.03,0.216,0.098,397"]
 
@@ -251,9 +277,9 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "ir.csv, line 3"),
         ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed 1 --t-step 0", None,
          "step"),
-        ("ir --input {returns} --n-max 5 --periods-per-year nan", None, "periods_per_year"),
-        ("regimes --input {returns} --output-curve {tmp}/avg.csv --periods-per-year nan", None,
-         "periods_per_year"),
+        ("ir --input {daily} --n-max 5", None, "daily.csv: median gap of 1 days"),
+        ("regimes --input {monthly} --output-curve {tmp}/avg.csv", None,
+         "monthly.csv: median gap of 31 days"),
         ("simulate --spec {spec} --n-min 5 --n-max 3 --seed 1", None, "lookbacks"),
         ("theory --mu 0.1 --variance 2.25 --rho 0.1,x --n-max 5", None, "--rho, lag 2"),
         ("fit --input {curve} --model stationary --k-lags 1 --fixed-sd nan", None, "--fixed-sd"),
@@ -264,14 +290,17 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
         ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed -1", None, "--seed"),
         ("simulate --spec {spec} --n-max 3 --seed -1", None, "--seed"),
     ],
-    ids=["truncated-row", "non-numeric-cell", "non-integer-n", "zero-t-step", "ir-nan-ppy",
-         "regimes-nan-ppy", "empty-lookback-range", "theory-bad-rho", "nan-fixed-sd",
+    ids=["truncated-row", "non-numeric-cell", "non-integer-n", "zero-t-step", "ir-daily-returns",
+         "regimes-month-end-returns", "empty-lookback-range", "theory-bad-rho", "nan-fixed-sd",
          "nan-mu-fixed", "inf-mu-fixed", "nan-sigma-fixed", "fit-negative-seed",
          "simulate-negative-seed"],
 )
-def test_bad_input_fails_naming_the_cause(
-    tmp_path, capsys, monkeypatch, returns_csv, argv, bad_row, needle
-):
+def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, bad_row, needle):
+    month_ends = [dt.date(1990 + m // 12, m % 12 + 1, 1) - dt.timedelta(days=1)
+                  for m in range(1, 241)]
+    for name, dates in [("daily", daily_dates(dt.date(1990, 1, 1), 240)),
+                        ("monthly", month_ends)]:
+        write_series_csv(str(tmp_path / f"{name}.csv"), dates, np.full(len(dates), 0.01))
     rows = list(CURVE_ROWS)
     if bad_row is not None:
         rows[1] = bad_row
@@ -284,13 +313,15 @@ def test_bad_input_fails_naming_the_cause(
         raise AssertionError("a series was drawn before the input was checked")
 
     monkeypatch.setattr(simulate_mod, "innovations", draw)
-    line = argv.format(curve=curve, returns=returns_csv, spec=spec, tmp=tmp_path)
+    line = argv.format(curve=curve, spec=spec, tmp=tmp_path, daily=tmp_path / "daily.csv",
+                       monthly=tmp_path / "monthly.csv")
     code = main([*line.split(), "--output", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert needle in err[0]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ir.csv", "returns.csv", "spec.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "daily.csv", "ir.csv", "monthly.csv", "spec.json"]
 
 
 @pytest.mark.parametrize(
@@ -300,8 +331,9 @@ def test_bad_input_fails_naming_the_cause(
          ["--length"]),
         ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed 1 "
          "--length 1000000000000", ["--length", "--paths"]),
+        ("simulate --spec {spec} --n-max 400 --paths 100000000 --seed 1", ["--paths"]),
     ],
-    ids=["simulate", "fit-squarewave"],
+    ids=["simulate", "fit-squarewave", "simulate-paths"],
 )
 def test_oversized_draw_fails_naming_length(tmp_path, capsys, monkeypatch, argv, needles):
     curve = tmp_path / "ir.csv"

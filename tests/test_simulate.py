@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from momir import simulate as simulate_mod
 from momir.simulate import (
     IidGaussian,
     InfeasibleTargets,
@@ -100,6 +101,16 @@ class TestGenerate:
         # sgn(0) = +1 tilts each period's wave sum to +2, hence the 2A/T term
         assert abs(series.mean() - 0.075) < 3 * 1.5 / math.sqrt(6000) + 2 * 0.15 / 20
 
+    def test_oversized_draw_fails_before_any_stream_opens(self, monkeypatch):
+        def stream(*args):
+            raise AssertionError("a random stream was opened before the draw size was checked")
+
+        monkeypatch.setattr(simulate_mod, "path_rng", stream)
+        # 21 MA coefficients draw 20 normals more than the series length
+        spec = MovingAverage(0.0, (1.0,) * 21, 1.0)
+        with pytest.raises(ValueError, match=r"1 x 16777226 standard normals .*--length$"):
+            generate(spec, simulate_mod.MAX_DRAW_ELEMENTS - 10, 1)
+
     def test_single_coefficient_ma_is_scaled_iid(self):
         ma = MovingAverage(0.0, (0.5,), 2.0)
         series = generate(ma, 100_000, 11)
@@ -132,13 +143,13 @@ class TestMaFromTargets:
         assert coeffs[1] / coeffs[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_targets_give_single_coefficient(self):
-        coeffs = ma_from_target_acf({1: 0.0, 3: 0.0}, 5, variance=2.25)
-        assert coeffs[0] == pytest.approx(1.5, rel=1e-12)
+        coeffs = ma_from_target_acf({1: 0.0, 3: 0.0}, 5)
+        assert coeffs[0] == 1.0
         assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
 
     def test_sparse_long_lag_targets_round_trip(self):
         targets = {1: 0.05, 20: 0.08}
-        coeffs = ma_from_target_acf(targets, 21, variance=1.0)
+        coeffs = ma_from_target_acf(targets, 21)
         for lag, want in targets.items():
             assert theoretical_acf_of_ma(coeffs, lag) == pytest.approx(want, abs=1e-6)
         assert float(coeffs @ coeffs) == pytest.approx(1.0, rel=1e-12)
@@ -176,7 +187,7 @@ class TestMaFromTargets:
 
         monkeypatch.setattr(optimize, "minimize", refuse)
         targets = {1: 0.05, 20: 0.08}
-        coeffs = ma_from_target_acf(targets, 21, variance=2.25)
+        coeffs = ma_from_target_acf(targets, 21)
         for lag, want in targets.items():
             assert theoretical_acf_of_ma(coeffs, lag) == pytest.approx(want, abs=1e-12)
         nonzero = np.flatnonzero(coeffs)

@@ -201,16 +201,16 @@ class TestIrMatrix:
 
 class TestAnnualize:
     def test_worked_value(self):
-        assert annualize(0.0422, 52) == pytest.approx(0.304, abs=1e-3)
+        assert annualize(0.0422) == pytest.approx(0.304, abs=1e-3)
 
     def test_zero(self):
-        assert annualize(0.0, 52) == 0.0
+        assert annualize(0.0) == 0.0
 
     def test_direct(self):
-        assert annualize(0.1, 52) == pytest.approx(0.1 * math.sqrt(52), abs=1e-15)
+        assert annualize(0.1) == pytest.approx(0.1 * math.sqrt(52), abs=1e-15)
 
     def test_standard_error_rule(self):
-        assert ir_standard_error(117, 52) == pytest.approx(1.3067, abs=5e-4)
+        assert ir_standard_error(117) == pytest.approx(1.3067, abs=5e-4)
 
 
 class TestIrCurveCsv:

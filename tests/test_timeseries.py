@@ -176,6 +176,13 @@ class TestCsv:
         assert series.returns == pytest.approx([0.1, -0.25, 1.0 / 3.0], abs=1e-15)
         assert path.read_text().splitlines()[0] == "date,value"
 
+    def test_value_csv_tolerates_a_skipped_week(self, tmp_path):
+        # one 14-day gap is a market closure, not another sampling rate
+        path = tmp_path / "series.csv"
+        weekly = dates_from(dt.date(2001, 2, 2), 5)
+        write_series_csv(str(path), weekly[:2] + weekly[3:], [0.1] * 4)
+        assert read_value_csv(str(path)).dates == weekly[:2] + weekly[3:]
+
     def test_read_csv_rules_hold_across_conversion_blocks(self, tmp_path):
         # a header in other case and spacing, blank lines, and more rows than
         # one conversion block: every row comes back in order, and a bad cell
