@@ -109,11 +109,17 @@ def _payoffs(x: np.ndarray, ns) -> Iterator[np.ndarray]:
     """Payoffs m_{t-1}(N) * X_t along the last axis of ``x``, for each N in turn.
 
     Window sums are differences of one prefix sum, shared by every lookback.
+    Every yielded array is a view of one buffer, sized for the smallest N, so
+    each is valid only until the next one is drawn.
     """
-    length = x.shape[-1]
-    prefix = np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+    lead, length = x.shape[:-1], x.shape[-1]
+    prefix = np.concatenate([np.zeros(lead + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+    buffer = np.empty(math.prod(lead) * (length - min(ns)))
     for n in ns:
-        yield (prefix[..., n:length] - prefix[..., : length - n]) / n * x[..., n:]
+        pays = buffer[: math.prod(lead) * (length - n)].reshape(lead + (length - n,))
+        np.subtract(prefix[..., n:length], prefix[..., : length - n], out=pays)
+        np.divide(pays, n, out=pays)
+        yield np.multiply(pays, x[..., n:], out=pays)
 
 
 def backtest(x, n: int) -> np.ndarray:
@@ -138,8 +144,8 @@ def ir_standard_error(samples: int) -> float:
 # constant payoff in double precision; the IR is reported as undefined there.
 DEGENERATE_SD_RTOL = 1e-12
 
-# Rows are scored in blocks of about this many elements, so each payoff
-# temporary stays cache-sized.  numpy reduces each row on its own, so every
+# Rows are scored in blocks of about this many elements, so the payoff
+# buffer stays cache-sized.  numpy reduces each row on its own, so every
 # statistic is bit-identical to a one-row-at-a-time run.
 IR_BLOCK_ELEMENTS = 2**16
 
@@ -153,7 +159,9 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """Per-row payoff mean, sample sd and IR at each lookback, each (rows, len(ns)).
 
     The sd is NaN with fewer than two payoffs; the IR is NaN where the sd is
-    undefined, zero or degenerate.
+    undefined, zero or degenerate.  The steps are numpy's own for ``np.mean``
+    and ``np.std(ddof=1)``, run in place on the payoff buffer, so every
+    statistic is bit-identical to those calls.
     """
     mean = np.empty((x.shape[0], len(ns)))
     sd = np.full_like(mean, np.nan)
@@ -161,9 +169,13 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     for lo in range(0, x.shape[0], step):
         rows = slice(lo, lo + step)
         for i, pays in enumerate(_payoffs(x[rows], ns)):
-            mean[rows, i] = pays.mean(axis=1)
-            if pays.shape[1] >= 2:
-                sd[rows, i] = pays.std(axis=1, ddof=1)
+            m = pays.shape[1]
+            mu = np.add.reduce(pays, axis=1) / m
+            mean[rows, i] = mu
+            if m >= 2:
+                pays -= mu[:, None]
+                pays *= pays
+                sd[rows, i] = np.sqrt(np.add.reduce(pays, axis=1) / (m - 1))
     defined = (sd > 0.0) & (sd > DEGENERATE_SD_RTOL * np.abs(mean))
     with np.errstate(divide="ignore", invalid="ignore"):
         ir = np.where(defined, mean / sd, np.nan)

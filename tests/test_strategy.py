@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momir.strategy import (
+    DEGENERATE_SD_RTOL,
     IR_BLOCK_ELEMENTS,
     IrCurve,
+    _ir_stats,
     annualize,
     block_rows,
     backtest,
@@ -19,7 +21,7 @@ from momir.strategy import (
     signal,
     write_ir_curve_csv,
 )
-from momir.theory import ir_case1, ir_case2
+from momir.theory import MomentProfile, ir_case1, ir_case2, theory_curve
 from momir.timeseries import NormalizedReturnSeries
 
 from oracles import double_loop_backtest
@@ -199,6 +201,48 @@ class TestIrMatrix:
         np.testing.assert_array_equal(got, want)
 
 
+def direct_payoffs(x, n):
+    """Payoffs formed in one expression, as (prefix[n:] - prefix[:-n]) / n * x[n:]."""
+    prefix = np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x[..., :-1], axis=-1)],
+                            axis=-1)
+    return (prefix[..., n:] - prefix[..., :-n]) / n * x[..., n:]
+
+
+class TestIrKernel:
+    """The kernel's statistics are np.mean / np.std(ddof=1) bit for bit."""
+
+    @pytest.mark.parametrize("rows, length",
+                             [(5, 1001), (1, 4000), (2 * block_rows(2000) + 3, 2000)],
+                             ids=["odd-length", "one-row", "ragged-last-block"])
+    @pytest.mark.filterwarnings("ignore:Degrees of freedom")
+    def test_bit_identical_to_numpy_mean_and_std(self, rows, length):
+        x = np.random.default_rng(41).standard_normal((rows, length)) + 0.03
+        if rows >= 3:
+            x[1] = 0.0
+            x[-1] = 0.5
+        # one payoff (m = 1) at length - 1 and two payoffs at length - 2
+        ns = np.array([1, 2, 13, length // 3, length - 2, length - 1])
+        mean, sd, ir = _ir_stats(x, ns)
+        pays = [direct_payoffs(x, n) for n in ns]
+        want_mean = np.stack([np.mean(p, axis=1) for p in pays], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_sd = np.stack([np.std(p, axis=1, ddof=1) for p in pays], axis=1)
+            defined = (want_sd > 0.0) & (want_sd > DEGENERATE_SD_RTOL * np.abs(want_mean))
+            want_ir = np.where(defined, want_mean / want_sd, np.nan)
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(sd, want_sd)
+        np.testing.assert_array_equal(ir, want_ir)
+        assert np.isnan(sd[:, -1]).all() and np.isnan(ir[:, -1]).all()
+        assert not np.isnan(sd[:, -2]).any()
+        if rows >= 3:
+            assert np.isnan(ir[1]).all() and np.isnan(ir[-1]).all()
+
+    def test_backtest_is_the_direct_expression(self):
+        x = np.random.default_rng(43).standard_normal(999) + 0.1
+        for n in (1, 2, 52, 400, 998):
+            np.testing.assert_array_equal(backtest(x, n), direct_payoffs(x, n))
+
+
 class TestAnnualize:
     def test_worked_value(self):
         assert annualize(0.0422) == pytest.approx(0.304, abs=1e-3)
@@ -211,6 +255,23 @@ class TestAnnualize:
 
     def test_standard_error_rule(self):
         assert ir_standard_error(117) == pytest.approx(1.3067, abs=5e-4)
+
+
+class TestIrStandardErrorCoverage:
+    def test_iid_band_undercovers_long_lookbacks_under_drift(self):
+        # stderr assumes iid payoffs; overlapping windows under drift correlate
+        # them, so the cross-path IR spread outgrows the iid rule at long N.
+        mu, sigma, length = 0.075, 1.5, 6068
+        ns = np.array([1, 4, 13, 52, 200, 400])
+        x = mu + sigma * np.random.default_rng(7).standard_normal((400, length))
+        got = ir_matrix(x, ns)
+        want = theory_curve(MomentProfile(mu, sigma**2), ns)[2]
+        iid_sd = 1.0 / np.sqrt(length - ns)
+        ratio = dict(zip(ns, got.std(axis=0, ddof=1) / iid_sd))
+        coverage = dict(zip(ns, (np.abs(got - want) <= 1.96 * iid_sd).mean(axis=0)))
+        assert 0.9 <= ratio[1] <= 1.1
+        assert ratio[200] > 1.05 and ratio[400] > 1.05
+        assert coverage[200] < 0.94
 
 
 class TestIrCurveCsv:
