@@ -25,7 +25,6 @@ from .strategy import (
     ir_curve,
     ir_standard_error,
     read_ir_curve_csv,
-    signal,
     write_ir_curve_csv,
 )
 from .theory import (
@@ -57,7 +56,6 @@ from .simulate import (
     MovingAverage,
     ProcessSpec,
     SquareWaveDrift,
-    generate,
     load_process_spec,
     ma_from_target_acf,
     mc_ir_curve,

@@ -127,8 +127,8 @@ def _cmd_ir(args: argparse.Namespace) -> int:
             f"for --p {args.p} and --n-max {args.n_max}, got {len(returns)}"
         )
     x = timeseries.normalize(returns, args.p)
-    log.info("normalized %d returns; mean |X| = %.3f", len(x), timeseries.mean_abs_level(x))
-    curve = strategy.ir_curve(x, (args.n_min, args.n_max))
+    log.info("normalized %d returns; mean |X| = %.3f", len(x), np.mean(np.abs(x.values)))
+    curve = strategy.ir_curve(x.values, (args.n_min, args.n_max))
     strategy.write_ir_curve_csv(args.output, curve)
     undefined = int(np.sum(~np.isfinite(curve.ir)))
     if undefined:

@@ -277,8 +277,8 @@ class RegimeCase(str, enum.Enum):
 class RegimeStats:
     """Per-regime diagnostics: lag-1 autocorrelation and the best IR lookback."""
 
-    start: dt.date | None
-    end: dt.date | None
+    start: dt.date
+    end: dt.date
     weeks: int
     acf1: float
     acf_se: float
@@ -289,19 +289,16 @@ class RegimeStats:
     curve: IrCurve
 
 
-def regime_stats(x, n_range: tuple[int, int], threshold_n: int = 20) -> RegimeStats:
-    """IR curve, lag-1 autocorrelation, and case classification for one regime.
+def regime_stats(
+    x: NormalizedReturnSeries, n_range: tuple[int, int], threshold_n: int = 20
+) -> RegimeStats:
+    """IR curve, lag-1 autocorrelation, and case classification for one dated regime.
 
     The regime is drift-driven (case I) exactly when the lookback with the
     highest annualized IR exceeds ``threshold_n``.  The IR standard error uses
     the regime's week count.
     """
-    if isinstance(x, NormalizedReturnSeries):
-        values = x.values
-        span = (x.dates[0], x.dates[-1])
-    else:
-        values = np.asarray(x, dtype=float)
-        span = (None, None)
+    values = x.values
     weeks = len(values)
     curve = ir_curve(values, n_range)
     ann = curve.ir_annualized
@@ -313,8 +310,8 @@ def regime_stats(x, n_range: tuple[int, int], threshold_n: int = 20) -> RegimeSt
     # |acf1| <= 1 contract survives pathological tiny samples.
     acf1_value = min(1.0, max(-1.0, acf1.value))
     return RegimeStats(
-        start=span[0],
-        end=span[1],
+        start=x.dates[0],
+        end=x.dates[-1],
         weeks=weeks,
         acf1=acf1_value,
         acf_se=acf1.se95,
@@ -392,9 +389,8 @@ REGIME_REPORT_HEADER = [
 def write_regime_report_csv(path: str, stats: Sequence[RegimeStats]) -> None:
     rows = (
         (
-            s.start.isoformat() if s.start else "", s.end.isoformat() if s.end else "", s.weeks,
-            s.acf1, s.acf_se, s.max_ir_annualized, s.ir_se, s.max_ir_lookback,
-            s.classification.value,
+            s.start.isoformat(), s.end.isoformat(), s.weeks, s.acf1, s.acf_se,
+            s.max_ir_annualized, s.ir_se, s.max_ir_lookback, s.classification.value,
         )
         for s in stats
     )

@@ -31,7 +31,6 @@ __all__ = [
     "SquareWaveDrift",
     "ProcessSpec",
     "McIrCurve",
-    "generate",
     "innovations",
     "series",
     "path_rng",
@@ -121,9 +120,8 @@ class SquareWaveDrift:
 ProcessSpec = Union[IidGaussian, MovingAverage, SquareWaveDrift]
 
 
-def path_rng(seed, path: int | None = None) -> np.random.Generator:
-    key = np.random.SeedSequence(seed) if path is None else np.random.SeedSequence(seed, spawn_key=(path,))
-    return np.random.Generator(np.random.Philox(key))
+def path_rng(seed, path: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path,))))
 
 
 def square_wave(t: np.ndarray, t_wave: float) -> np.ndarray:
@@ -180,14 +178,6 @@ def series(spec: ProcessSpec, eta: np.ndarray) -> np.ndarray:
     noise = series(spec.noise, eta)
     t = np.arange(1, noise.shape[-1] + 1, dtype=float)
     return spec.mu + spec.amplitude * square_wave(t, spec.t_wave) + noise
-
-
-def generate(spec: ProcessSpec, length: int, seed) -> np.ndarray:
-    """Draw one series of the given length; bit-identical for equal (spec, seed)."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    width = _width(spec, length, 1)
-    return series(spec, path_rng(seed).standard_normal(width))
 
 
 def theoretical_acf_of_ma(coefficients, lag: int) -> float:

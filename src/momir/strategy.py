@@ -16,13 +16,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .timeseries import NormalizedReturnSeries, read_csv, write_csv
+from .timeseries import read_csv, write_csv
 
 __all__ = [
     "PERIODS_PER_YEAR",
     "IrCurve",
     "check_lookbacks",
-    "signal",
     "backtest",
     "ir_curve",
     "annualize",
@@ -36,12 +35,6 @@ Z95 = 1.96
 
 # Every series momir analyses is weekly; :func:`annualize` is the one rule that uses this.
 PERIODS_PER_YEAR = 52
-
-
-def _values(x) -> np.ndarray:
-    if isinstance(x, NormalizedReturnSeries):
-        return x.values
-    return np.asarray(x, dtype=float)
 
 
 def check_lookbacks(ns, length: int | None = None) -> np.ndarray:
@@ -93,18 +86,6 @@ class IrCurve:
         return len(self.n)
 
 
-def signal(x, n: int, t: int) -> float:
-    """Moving-average signal m_t(N): mean of the N values ending at index t."""
-    values = _values(x)
-    check_lookbacks([n])
-    if t < n - 1 or t >= len(values):
-        raise ValueError(
-            f"signal at index {t} needs {n} past values within a series of "
-            f"length {len(values)}"
-        )
-    return float(values[t - n + 1 : t + 1].mean())
-
-
 def _payoffs(x: np.ndarray, ns) -> Iterator[np.ndarray]:
     """Payoffs m_{t-1}(N) * X_t along the last axis of ``x``, for each N in turn.
 
@@ -129,7 +110,7 @@ def backtest(x, n: int) -> np.ndarray:
     N to len(X)-1, giving exactly len(X) - N payoffs: payoff k settles on
     series index N + k.
     """
-    values = _values(x)
+    values = np.asarray(x, dtype=float)
     return next(_payoffs(values, check_lookbacks([n], len(values))))
 
 
@@ -184,7 +165,7 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 def ir_curve(x, n_range: tuple[int, int]) -> IrCurve:
     """Backtest every lookback in [n_min, n_max] and collect IR statistics."""
-    values = _values(x)
+    values = np.asarray(x, dtype=float)
     ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1), len(values))
     samples = len(values) - ns
     stderr = [ir_standard_error(int(s)) for s in samples]

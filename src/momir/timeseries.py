@@ -178,19 +178,10 @@ def normalize(returns: ReturnSeries, p: int) -> NormalizedReturnSeries:
     )
 
 
-def mean_abs_level(series: NormalizedReturnSeries) -> float:
-    """Mean |X|, a data-sanity diagnostic: roughly 1 for well-behaved input."""
-    return float(np.mean(np.abs(series.values)))
-
-
 # ---------------------------------------------------------------------------
 # CSV interfaces.  Prices arrive as `date,price`; every series type is emitted
 # as `date,value` with 15-significant-digit decimals.  Dates are ISO-8601.
 # ---------------------------------------------------------------------------
-
-
-# Rows per column-wise conversion, so a large file's raw text cells never pile up.
-READ_BLOCK_ROWS = 1024
 
 
 def read_csv(path: str, header: Sequence[str], parsers: Sequence[Callable]) -> list[list]:
@@ -198,25 +189,10 @@ def read_csv(path: str, header: Sequence[str], parsers: Sequence[Callable]) -> l
 
     The header must match ``header`` with case and surrounding spaces ignored.
     Blank lines are skipped, every other line needs one field per column, and
-    column j is converted by ``parsers[j]``.  Returns the converted columns.
-    A bad row fails naming the file and the line.
+    column j is converted by ``parsers[j]`` as each row is read.  Returns the
+    converted columns; a bad row fails naming the file and the line.
     """
     columns: list[list] = [[] for _ in header]
-    rows, lines = [], []
-
-    def convert() -> None:
-        for column, name, parse, cells in zip(columns, header, parsers, zip(*rows)):
-            try:
-                column.extend(map(parse, cells))
-            except ValueError:
-                for line, cell in zip(lines, cells):
-                    try:
-                        parse(cell)
-                    except ValueError:
-                        raise ValueError(f"{path}, line {line}: bad {name} {cell!r}") from None
-                raise
-        del rows[:], lines[:]
-
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
@@ -229,11 +205,12 @@ def read_csv(path: str, header: Sequence[str], parsers: Sequence[Callable]) -> l
                     continue
                 raise ValueError(f"{path}, line {reader.line_num}: expected {len(header)} "
                                  f"fields, got {len(row)}")
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == READ_BLOCK_ROWS:
-                convert()
-    convert()
+            for column, name, parse, cell in zip(columns, header, parsers, row):
+                try:
+                    column.append(parse(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: bad {name} {cell!r}") from None
     if not columns[0]:
         raise ValueError(f"{path}: no data rows")
     return columns

@@ -1,0 +1,31 @@
+import importlib
+import inspect
+import pkgutil
+
+import momir
+
+# Every public non-module name of the package: adding or removing a public
+# path shows up as an edit to this table.
+PUBLIC_NAMES = [
+    "AcfPoint", "IidGaussian", "InfeasibleTargets", "IrCurve", "McIrCurve", "MomentProfile",
+    "MovingAverage", "NormalizedReturnSeries", "PriceSeries", "ProcessSpec", "RegimeCase",
+    "RegimeStats", "ReturnSeries", "Segment", "Segmentation", "SquareWaveDrift", "TheoreticalIr",
+    "acf", "annualize", "average_ir_curve", "backtest", "best_segmentation", "detect_breakpoints",
+    "filter_regimes", "ir_case1", "ir_case2", "ir_curve", "ir_standard_error",
+    "load_process_spec", "log_returns", "ma_from_target_acf", "mc_ir_curve", "normalize",
+    "read_ir_curve_csv", "read_price_csv", "read_value_csv", "regime_stats",
+    "resample_to_weekly", "theoretical_acf_of_ma", "theoretical_ir", "theory_curve",
+    "weekly_segmentation", "write_ir_curve_csv",
+]
+
+
+def test_package_exposes_exactly_the_pinned_names_and_every_all_entry_resolves():
+    got = sorted(
+        name for name in dir(momir)
+        if not name.startswith("_") and not inspect.ismodule(getattr(momir, name))
+    )
+    assert got == PUBLIC_NAMES
+    for info in pkgutil.iter_modules(momir.__path__):
+        module = importlib.import_module(f"momir.{info.name}")
+        missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+        assert not missing, f"momir.{info.name}.__all__ names missing attributes: {missing}"

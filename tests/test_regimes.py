@@ -26,6 +26,13 @@ from momir.timeseries import NormalizedReturnSeries, ReturnSeries
 from oracles import brute_force_breaks, full_row_dp_tables, sample_acf
 
 
+def dated(values):
+    """A weekly dated regime from 2001-01-05 holding ``values``."""
+    start = dt.date(2001, 1, 5)
+    dates = tuple(start + dt.timedelta(days=7 * i) for i in range(len(values)))
+    return NormalizedReturnSeries(dates, np.asarray(values, dtype=float), 10)
+
+
 def two_piece(n_left=30, n_right=30, slope=1.0):
     up = slope * np.arange(n_left, dtype=float)
     down = up[-1] - slope * np.arange(1, n_right + 1)
@@ -225,7 +232,7 @@ class TestRegimeStats:
     def test_strong_drift_classifies_drift_driven(self):
         rng = np.random.default_rng(8)
         x = 0.8 + rng.standard_normal(400)
-        stats = regime_stats(x, (1, 43), threshold_n=20)
+        stats = regime_stats(dated(x), (1, 43), threshold_n=20)
         assert stats.classification is RegimeCase.CASE_I
         assert stats.max_ir_lookback > 20
         assert stats.weeks == 400
@@ -235,7 +242,7 @@ class TestRegimeStats:
         coeffs = np.array([1.0, 0.7, 0.5, 0.3])
         eta = rng.standard_normal(5000 + 3)
         x = np.convolve(eta, coeffs, mode="valid")
-        stats = regime_stats(x, (1, 43), threshold_n=20)
+        stats = regime_stats(dated(x), (1, 43), threshold_n=20)
         assert stats.classification is RegimeCase.CASE_II
         assert stats.max_ir_lookback <= 10
 
@@ -254,14 +261,14 @@ class TestRegimeStats:
     def test_classification_ignores_monotone_rescaling(self):
         rng = np.random.default_rng(11)
         x = 0.3 + rng.standard_normal(300)
-        a = regime_stats(x, (1, 30))
-        b = regime_stats(2.5 * x, (1, 30))  # scaling leaves every IR unchanged
+        a = regime_stats(dated(x), (1, 30))
+        b = regime_stats(dated(2.5 * x), (1, 30))  # scaling leaves every IR unchanged
         assert a.classification == b.classification
         assert a.max_ir_lookback == b.max_ir_lookback
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="too short"):
-            regime_stats(np.ones(30) + np.random.default_rng(0).standard_normal(30), (1, 30))
+            regime_stats(dated(np.ones(30) + np.random.default_rng(0).standard_normal(30)), (1, 30))
 
 
 class TestAverageIrCurve:

@@ -11,7 +11,6 @@ from momir.simulate import (
     MovingAverage,
     SquareWaveDrift,
     dump_process_spec,
-    generate,
     innovations,
     load_process_spec,
     ma_from_target_acf,
@@ -65,22 +64,27 @@ class TestSpecs:
             spec_from_dict({"variant": "iid_gaussian", "mu": 0.0})
 
 
+def one_path(spec, length, seed):
+    """Path 0 of a seeded run, built as every series is: ``innovations`` then ``series``."""
+    return series(spec, innovations(spec, 1, length, seed)[0])
+
+
 class TestGenerate:
     def test_deterministic_given_seed(self):
         spec = IidGaussian(0.1, 2.0)
-        a = generate(spec, 500, 42)
-        b = generate(spec, 500, 42)
+        a = one_path(spec, 500, 42)
+        b = one_path(spec, 500, 42)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, generate(spec, 500, 43))
+        assert not np.array_equal(a, one_path(spec, 500, 43))
 
     def test_flat_wave_equals_iid_path_exactly(self):
         flat = SquareWaveDrift(0.1, 0.0, 50, IidGaussian(0.0, 1.5))
         iid = IidGaussian(0.1, 1.5)
-        assert np.array_equal(generate(flat, 400, 7), generate(iid, 400, 7))
+        assert np.array_equal(one_path(flat, 400, 7), one_path(iid, 400, 7))
 
     def test_noiseless_wave_integrates_to_triangle(self):
         spec = SquareWaveDrift(0.0, 1.0, 20, IidGaussian(0.0, 0.0))
-        series = generate(spec, 200, 0)
+        series = one_path(spec, 200, 0)
         cum = np.cumsum(series)
         # rises for half a period, falls for the other half
         assert cum[9] == pytest.approx(10.0)
@@ -97,7 +101,7 @@ class TestGenerate:
 
     def test_square_wave_sample_mean_near_mu(self):
         spec = SquareWaveDrift(0.075, 0.15, 20, IidGaussian(0.0, 1.5))
-        series = generate(spec, 6000, 3)  # 300 whole periods
+        series = one_path(spec, 6000, 3)  # 300 whole periods
         # sgn(0) = +1 tilts each period's wave sum to +2, hence the 2A/T term
         assert abs(series.mean() - 0.075) < 3 * 1.5 / math.sqrt(6000) + 2 * 0.15 / 20
 
@@ -109,17 +113,17 @@ class TestGenerate:
         # 21 MA coefficients draw 20 normals more than the series length
         spec = MovingAverage(0.0, (1.0,) * 21, 1.0)
         with pytest.raises(ValueError, match=r"1 x 16777226 standard normals .*--length$"):
-            generate(spec, simulate_mod.MAX_DRAW_ELEMENTS - 10, 1)
+            one_path(spec, simulate_mod.MAX_DRAW_ELEMENTS - 10, 1)
 
     def test_single_coefficient_ma_is_scaled_iid(self):
         ma = MovingAverage(0.0, (0.5,), 2.0)
-        series = generate(ma, 100_000, 11)
+        series = one_path(ma, 100_000, 11)
         assert abs(series.var() - 0.25 * 4.0) < 0.02
 
     def test_ma_sample_acf_matches_theory(self):
         coeffs = (1.0, 0.4, 0.0, 0.2)
         spec = MovingAverage(0.0, coeffs, 1.0)
-        series = generate(spec, 1_000_000, 21)
+        series = one_path(spec, 1_000_000, 21)
         for lag in range(1, 6):
             want = theoretical_acf_of_ma(coeffs, lag)
             assert abs(sample_acf(series, lag) - want) < 0.005
@@ -235,10 +239,10 @@ class TestMcIrCurve:
         a = mc_ir_curve(spec, (1, 5), paths=8, length=300, seed=9)
         b = mc_ir_curve(spec, (1, 5), paths=8, length=300, seed=9)
         assert np.array_equal(a.ir_mean, b.ir_mean)
-        # first path of the run equals a standalone single-path generation
-        assert np.array_equal(
-            generate(spec, 300, 9), np.asarray([row for row in [generate(spec, 300, 9)]])[0]
-        )
+        # row k of the run's draw is path k's own stream, whichever block draws it
+        eta = innovations(spec, 8, 300, 9)
+        for k in range(8):
+            np.testing.assert_array_equal(eta[k], innovations(spec, 1, 300, 9, first=k)[0])
 
     def test_per_path_engine_agrees_with_single_series_curve(self):
         spec = SquareWaveDrift(0.05, 0.1, 40, IidGaussian(0.0, 1.0))

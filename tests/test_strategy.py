@@ -1,4 +1,3 @@
-import datetime as dt
 import math
 
 import numpy as np
@@ -18,40 +17,28 @@ from momir.strategy import (
     ir_matrix,
     ir_standard_error,
     read_ir_curve_csv,
-    signal,
     write_ir_curve_csv,
 )
 from momir.theory import MomentProfile, ir_case1, ir_case2, theory_curve
-from momir.timeseries import NormalizedReturnSeries
 
 from oracles import double_loop_backtest
 
 
-def norm_series(values):
-    start = dt.date(2000, 1, 7)
-    dates = tuple(start + dt.timedelta(days=7 * i) for i in range(len(values)))
-    return NormalizedReturnSeries(dates, np.asarray(values, float), window=10)
-
-
-class TestSignal:
+class TestBacktest:
+    # With a unit return after index t, the last payoff is the window mean m_t(N) itself.
     def test_constant_series(self):
-        assert signal([2.5] * 6, 4, 5) == 2.5
+        assert backtest([2.5] * 6 + [1.0], 4)[-1] == 2.5
 
     def test_symmetric_cancellation(self):
-        assert signal([1.0, -1.0], 2, 1) == 0.0
+        assert backtest([1.0, -1.0, 1.0], 2)[-1] == 0.0
 
     def test_arithmetic_mean_at_last_index(self):
-        assert signal([0.5, 1.5, -1.0], 3, 2) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_accepts_series_object(self):
-        assert signal(norm_series([1.0, 3.0]), 2, 1) == 2.0
+        assert backtest([0.5, 1.5, -1.0, 1.0], 3)[-1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_rejects_short_history(self):
-        with pytest.raises(ValueError, match="past values"):
-            signal([1.0, 2.0, 3.0], 3, 1)
+        with pytest.raises(ValueError, match="too short"):
+            backtest([1.0, 2.0, 3.0], 3)
 
-
-class TestBacktest:
     def test_zero_series_gives_zero_payoffs(self):
         assert np.array_equal(backtest([0.0] * 5, 2), np.zeros(3))
 
@@ -59,7 +46,7 @@ class TestBacktest:
         assert np.array_equal(backtest([1.0, 1.0, 1.0, 1.0], 1), [1.0, 1.0, 1.0])
         # payoff k settles on series index N + k
         x = [3.0, -1.0, 2.0, 5.0, -4.0]
-        assert np.array_equal(backtest(x, 2), [signal(x, 2, k + 1) * x[k + 2] for k in range(3)])
+        assert np.array_equal(backtest(x, 2), [(x[k] + x[k + 1]) / 2 * x[k + 2] for k in range(3)])
 
     def test_alternating_series_n1_loses_every_period(self):
         x = np.tile([1.0, -1.0], 8)
