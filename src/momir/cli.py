@@ -160,9 +160,7 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
                 segment.start, segment.end, end - start,
             )
             continue
-        piece = timeseries.NormalizedReturnSeries(
-            dates=x.dates[start:end], values=x.values[start:end], window=x.window
-        )
+        piece = timeseries.NormalizedReturnSeries(x.dates[start:end], x.values[start:end])
         stats.append(regimes_mod.regime_stats(piece, (args.n_min, args.n_max), args.threshold_n))
     if not stats:
         raise ValueError("no regime of the requested minimum length survived")

@@ -280,7 +280,7 @@ def fit_square_wave(
     )
 
 
-def fit_result_json_text(result: FitResult) -> str:
+def write_fit_result_json(path: str, result: FitResult) -> None:
     payload = {
         "parameters": result.parameters,
         "rss": result.rss,
@@ -292,8 +292,4 @@ def fit_result_json_text(result: FitResult) -> str:
             "ir": [float(v) for v in result.fitted_ir],
         },
     }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def write_fit_result_json(path: str, result: FitResult) -> None:
-    atomic_write_text(path, fit_result_json_text(result))
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")

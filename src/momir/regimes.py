@@ -34,7 +34,6 @@ __all__ = [
     "acf",
     "regime_stats",
     "average_ir_curve",
-    "monthly_last_indices",
     "weekly_segmentation",
     "write_regime_report_csv",
 ]
@@ -61,11 +60,10 @@ class Segment:
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Breakpoints plus fitted segments over a series of ``n`` samples."""
+    """Breakpoints plus the fitted segments between them."""
 
     breakpoints: tuple[int, ...]
     segments: tuple[Segment, ...]
-    n: int
 
     @property
     def rss(self) -> float:
@@ -159,7 +157,7 @@ def _backtrack(argt: np.ndarray, k: int, n: int) -> list[int]:
 def _build_segmentation(y: np.ndarray, breaks: Sequence[int]) -> Segmentation:
     bounds = [0, *breaks, len(y)]
     segments = tuple(_fit_segment(y, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
-    return Segmentation(breakpoints=tuple(int(b) for b in breaks), segments=segments, n=len(y))
+    return Segmentation(breakpoints=tuple(int(b) for b in breaks), segments=segments)
 
 
 def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
@@ -230,7 +228,7 @@ def filter_regimes(seg: Segmentation, min_weeks: int = 70) -> Segmentation:
     if min_weeks < 1:
         raise ValueError("min_weeks must be >= 1")
     kept = tuple(s for s in seg.segments if len(s) >= min_weeks)
-    return Segmentation(breakpoints=seg.breakpoints, segments=kept, n=seg.n)
+    return Segmentation(breakpoints=seg.breakpoints, segments=kept)
 
 
 @dataclass(frozen=True)
@@ -358,11 +356,6 @@ def average_ir_curve(curves: Sequence[IrCurve]) -> IrCurve:
 # ---------------------------------------------------------------------------
 
 
-def monthly_last_indices(dates: Sequence[dt.date]) -> np.ndarray:
-    """Index of the last observation inside each calendar month."""
-    return last_per_key(dates, lambda d: (d.year, d.month))
-
-
 def weekly_segmentation(
     returns: ReturnSeries,
     min_segment_months: int = 12,
@@ -371,7 +364,7 @@ def weekly_segmentation(
     """Detect drift regimes on the monthly-sampled cumulative log series and
     express them as weekly index spans with refitted weekly linear trends."""
     cumlog = np.cumsum(returns.returns)
-    month_idx = monthly_last_indices(returns.dates)
+    month_idx = last_per_key(returns.dates, lambda d: (d.year, d.month))
     if len(month_idx) < 2 * min_segment_months:
         raise ValueError(
             f"{len(month_idx)} monthly samples are too few for segmentation "

@@ -22,8 +22,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .strategy import block_rows, check_lookbacks, ir_matrix
-from .timeseries import atomic_write_text, write_csv
+from .strategy import block_rows, ir_matrix, lookback_range
+from .timeseries import write_csv
 
 __all__ = [
     "IidGaussian",
@@ -38,7 +38,6 @@ __all__ = [
     "ma_from_target_acf",
     "mc_ir_curve",
     "load_process_spec",
-    "dump_process_spec",
     "write_mc_ir_curve_csv",
 ]
 
@@ -302,7 +301,7 @@ def mc_ir_curve(
     (:func:`momir.strategy.block_rows`), so the draw does not grow with
     ``paths``; the per-path IR table does, up to :data:`MAX_DRAW_ELEMENTS`.
     """
-    ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1), length)
+    ns = lookback_range(n_range, length)
     if paths < 1:
         raise ValueError("paths must be >= 1")
     _check_budget(paths, len(ns), "per-path IRs", "--paths or --n-max")
@@ -336,17 +335,6 @@ _VARIANTS = {
     "moving_average": MovingAverage,
     "square_wave_drift": SquareWaveDrift,
 }
-_VARIANT_NAMES = {cls: name for name, cls in _VARIANTS.items()}
-
-
-def spec_to_dict(spec: ProcessSpec) -> dict:
-    out = {"variant": _VARIANT_NAMES[type(spec)]}
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if f.type == "ProcessSpec":
-            value = spec_to_dict(value)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def _number(where: str, value) -> float:
@@ -392,10 +380,6 @@ def spec_from_dict(data: dict) -> ProcessSpec:
 def load_process_spec(path: str) -> ProcessSpec:
     with open(path, encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
-
-
-def dump_process_spec(path: str, spec: ProcessSpec) -> None:
-    atomic_write_text(path, json.dumps(spec_to_dict(spec), indent=2) + "\n")
 
 
 MC_CURVE_HEADER = ["n", "ir_mean", "ir_mc_se", "paths", "length", "seed"]

@@ -16,12 +16,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .timeseries import read_csv, write_csv
+from .timeseries import finite_number, read_csv, write_csv
 
 __all__ = [
     "PERIODS_PER_YEAR",
     "IrCurve",
     "check_lookbacks",
+    "lookback_range",
     "backtest",
     "ir_curve",
     "annualize",
@@ -51,6 +52,18 @@ def check_lookbacks(ns, length: int | None = None) -> np.ndarray:
     if length is not None and arr.max() >= length:
         raise ValueError(f"series of length {length} too short for max lookback {arr.max()}")
     return arr
+
+
+def lookback_range(n_range: tuple[int, int], length: int | None = None) -> np.ndarray:
+    """Every lookback in [n_min, n_max] as an int array, checked before it is built.
+
+    The rule of :func:`check_lookbacks` depends only on the smallest and the
+    largest N, so it sees the two ends (an empty range as it is), and an
+    oversized range fails before anything is allocated.
+    """
+    lo, hi = int(n_range[0]), int(n_range[1])
+    check_lookbacks([lo, hi] if lo <= hi else range(lo, hi + 1), length)
+    return np.arange(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -166,7 +179,7 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def ir_curve(x, n_range: tuple[int, int]) -> IrCurve:
     """Backtest every lookback in [n_min, n_max] and collect IR statistics."""
     values = np.asarray(x, dtype=float)
-    ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1), len(values))
+    ns = lookback_range(n_range, len(values))
     samples = len(values) - ns
     stderr = [ir_standard_error(int(s)) for s in samples]
     mean, sd, ir = (v[0] for v in _ir_stats(values[None, :], ns))
@@ -206,8 +219,8 @@ def write_ir_curve_csv(path: str, curve: IrCurve) -> None:
 
 
 def _number(text: str) -> float:
-    """A float cell; an empty cell is NaN."""
-    return float(text) if text.strip() else math.nan
+    """A finite float cell; an empty cell is NaN."""
+    return finite_number(text) if text.strip() else math.nan
 
 
 def read_ir_curve_csv(path: str) -> IrCurve:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .strategy import check_lookbacks
+from .strategy import check_lookbacks, lookback_range
 from .timeseries import write_csv
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "realizability_violation",
     "ir_case1",
     "ir_case2",
-    "correlation_matrix",
     "write_theory_curve_csv",
 ]
 
@@ -45,21 +44,16 @@ __all__ = [
 PSD_TOLERANCE = 1e-10
 
 
-def correlation_matrix(autocorr: Sequence[float], size: int) -> np.ndarray:
-    """Toeplitz correlation matrix of the given size, rho(k)=0 beyond the horizon."""
-    rho = np.asarray(autocorr, dtype=float)
-    full = np.concatenate([[1.0], rho, np.zeros(max(0, size - 1 - len(rho)))])
-    idx = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    return full[idx]
-
-
 def realizability_violation(autocorr: Sequence[float]) -> float:
     """How far the Toeplitz correlation matrix is from realizable; 0 when it is.
 
+    The matrix is (K+1)x(K+1) with entry (i, j) = rho(|i - j|), rho(0) = 1.
     Realizable means positive semi-definite up to ``PSD_TOLERANCE``: the
     smallest eigenvalue is at least -PSD_TOLERANCE.
     """
-    matrix = correlation_matrix(autocorr, len(autocorr) + 1)
+    rho = np.concatenate([[1.0], np.asarray(autocorr, dtype=float)])
+    lags = np.arange(len(rho))
+    matrix = rho[np.abs(np.subtract.outer(lags, lags))]
     return max(0.0, -float(np.linalg.eigvalsh(matrix)[0]) - PSD_TOLERANCE)
 
 
@@ -91,12 +85,6 @@ class MomentProfile:
                 "autocorrelation sequence is not realizable: Toeplitz correlation "
                 "matrix is not positive semi-definite"
             )
-
-    def rho(self, lag: int) -> float:
-        """rho(lag) with the beyond-horizon lags equal to zero."""
-        if lag == 0:
-            return 1.0
-        return self.autocorr[lag - 1] if lag <= len(self.autocorr) else 0.0
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,7 @@ def ir_case2(autocorr: Sequence[float], n: int) -> float:
 
 
 def write_theory_curve_csv(path: str, profile: MomentProfile, n_range: tuple[int, int]) -> None:
-    ns = check_lookbacks(range(int(n_range[0]), int(n_range[1]) + 1))
+    ns = lookback_range(n_range)
     mean, variance, ir = theory_curve(profile, ns)
     rows = zip(*(c.tolist() for c in (ns, mean, variance, ir)))
     write_csv(path, ["n", "mean", "variance", "ir"], rows)

@@ -67,7 +67,7 @@ class PriceSeries:
         if bad.size:
             i = int(bad[0])
             raise ValueError(
-                f"price series: non-positive or non-finite price {prices[i]!r} "
+                f"price series: non-positive or non-finite price {float(prices[i])} "
                 f"at index {i} ({self.dates[i]})"
             )
 
@@ -96,11 +96,10 @@ class ReturnSeries:
 
 @dataclass(frozen=True)
 class NormalizedReturnSeries:
-    """Returns divided by the trailing mean absolute return over ``window`` periods."""
+    """Returns divided by their trailing mean absolute return (see :func:`normalize`)."""
 
     dates: tuple[dt.date, ...]
     values: np.ndarray
-    window: int
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -108,8 +107,6 @@ class NormalizedReturnSeries:
         object.__setattr__(self, "dates", tuple(self.dates))
         if len(self.dates) != len(values):
             raise ValueError("normalized series: dates and values differ in length")
-        if self.window < 1:
-            raise ValueError("normalized series: window must be >= 1")
         _check_dates(self.dates, "normalized series")
         if values.size and not np.all(np.isfinite(values)):
             i = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -173,9 +170,7 @@ def normalize(returns: ReturnSeries, p: int) -> NormalizedReturnSeries:
             f"zero trailing mean absolute return at {returns.dates[t]} "
             f"(index {t}): window of flat prices"
         )
-    return NormalizedReturnSeries(
-        dates=returns.dates[p:], values=r[p:] / trailing, window=p
-    )
+    return NormalizedReturnSeries(dates=returns.dates[p:], values=r[p:] / trailing)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +215,17 @@ def _iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text.strip())
 
 
+def finite_number(text: str) -> float:
+    """A number cell; ``nan`` and ``inf`` fail like any other bad cell."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def read_price_csv(path: str) -> PriceSeries:
     """Load a `date,price` CSV into a PriceSeries."""
-    dates, prices = read_csv(path, ["date", "price"], [_iso_date, float])
+    dates, prices = read_csv(path, ["date", "price"], [_iso_date, finite_number])
     return PriceSeries(dates=dates, prices=np.array(prices))
 
 
@@ -232,7 +235,7 @@ def read_value_csv(path: str) -> ReturnSeries:
     The median gap between consecutive dates must be 5 to 9 days: market
     closures pass, daily or monthly returns fail naming the gap.
     """
-    dates, values = read_csv(path, ["date", "value"], [_iso_date, float])
+    dates, values = read_csv(path, ["date", "value"], [_iso_date, finite_number])
     series = ReturnSeries(dates=dates, returns=np.array(values))
     gaps = [(b - a).days for a, b in zip(dates, dates[1:])]
     if gaps and not 5 <= np.median(gaps) <= 9:

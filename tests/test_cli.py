@@ -15,9 +15,12 @@ import pytest
 import momir
 from momir import simulate as simulate_mod
 from momir.cli import _build_parser, main
-from momir.simulate import IidGaussian, SquareWaveDrift, dump_process_spec
 from momir.strategy import IR_CURVE_HEADER, read_ir_curve_csv
 from momir.timeseries import write_series_csv
+
+
+# A unit-variance iid Gaussian process spec, as a `simulate --spec` file holds it.
+IID_UNIT_SPEC = '{"variant": "iid_gaussian", "mu": 0.0, "sigma": 1.0}\n'
 
 
 def write_prices(path, dates, prices):
@@ -79,6 +82,7 @@ class TestIngest:
         assert code == 1
         err = capsys.readouterr().err
         assert "2000-01-14" in err
+        assert "-1.0" in err and "np.float64" not in err
         assert not out.exists()
 
     def test_malformed_row_exits_nonzero_with_line(self, tmp_path, capsys):
@@ -160,7 +164,7 @@ class TestRegimes:
 class TestSimulate:
     def test_mc_curve_from_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        dump_process_spec(str(spec_path), IidGaussian(0.075, 1.5))
+        spec_path.write_text('{"variant": "iid_gaussian", "mu": 0.075, "sigma": 1.5}\n')
         out = tmp_path / "mc.csv"
         code = main(["simulate", "--spec", str(spec_path), "--output", str(out),
                      "--n-max", "10", "--paths", "8", "--length", "300", "--seed", "4"])
@@ -172,8 +176,9 @@ class TestSimulate:
 
     def test_square_wave_spec_round_trip(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        dump_process_spec(
-            str(spec_path), SquareWaveDrift(0.075, 0.15, 180, IidGaussian(0.0, 1.5))
+        spec_path.write_text(
+            '{"variant": "square_wave_drift", "mu": 0.075, "amplitude": 0.15, "t_wave": 180, '
+            '"noise": {"variant": "iid_gaussian", "mu": 0.0, "sigma": 1.5}}\n'
         )
         out = tmp_path / "mc.csv"
         assert main(["simulate", "--spec", str(spec_path), "--output", str(out),
@@ -181,14 +186,14 @@ class TestSimulate:
 
     def test_seed_required(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        dump_process_spec(str(spec_path), IidGaussian(0.0, 1.0))
+        spec_path.write_text(IID_UNIT_SPEC)
         with pytest.raises(SystemExit):
             main(["simulate", "--spec", str(spec_path), "--output", str(tmp_path / "o.csv"),
                   "--n-max", "5"])
 
     def test_identical_seeds_identical_bytes(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        dump_process_spec(str(spec_path), IidGaussian(0.0, 1.0))
+        spec_path.write_text(IID_UNIT_SPEC)
         outs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
@@ -275,6 +280,10 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "ir.csv, line 3"),
         ("fit --input {curve} --model stationary --k-lags 1", "6.5,0.02,1,0.02,0.144,0.098,398",
          "ir.csv, line 3"),
+        ("fit --input {curve} --model stationary --k-lags 1", "2,0.02,1,inf,0.144,0.098,398",
+         "ir.csv, line 3: bad ir 'inf'"),
+        ("ir --input {tmp}/nan.csv --n-max 5", None, "nan.csv, line 151: bad value 'nan'"),
+        ("ir --input {tmp}/inf.csv --n-max 5", None, "inf.csv, line 151: bad value 'inf'"),
         ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed 1 --t-step 0", None,
          "step"),
         ("ir --input {daily} --n-max 5", None, "daily.csv: median gap of 1 days"),
@@ -290,7 +299,8 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
         ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed -1", None, "--seed"),
         ("simulate --spec {spec} --n-max 3 --seed -1", None, "--seed"),
     ],
-    ids=["truncated-row", "non-numeric-cell", "non-integer-n", "zero-t-step", "ir-daily-returns",
+    ids=["truncated-row", "non-numeric-cell", "non-integer-n", "inf-ir-cell", "nan-return",
+         "inf-return", "zero-t-step", "ir-daily-returns",
          "regimes-month-end-returns", "empty-lookback-range", "theory-bad-rho", "nan-fixed-sd",
          "nan-mu-fixed", "inf-mu-fixed", "nan-sigma-fixed", "fit-negative-seed",
          "simulate-negative-seed"],
@@ -301,13 +311,19 @@ def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, b
     for name, dates in [("daily", daily_dates(dt.date(1990, 1, 1), 240)),
                         ("monthly", month_ends)]:
         write_series_csv(str(tmp_path / f"{name}.csv"), dates, np.full(len(dates), 0.01))
+    weekly = weekly_dates(dt.date(1990, 1, 5), 200)
+    for cell in ("nan", "inf"):
+        # row 150 of 200, on line 151 after the header, holds the bad cell
+        values = ["0.01"] * 149 + [cell] + ["0.01"] * 50
+        (tmp_path / f"{cell}.csv").write_text(
+            "date,value\n" + "".join(f"{d.isoformat()},{v}\n" for d, v in zip(weekly, values)))
     rows = list(CURVE_ROWS)
     if bad_row is not None:
         rows[1] = bad_row
     curve = tmp_path / "ir.csv"
     curve.write_text("\n".join([",".join(IR_CURVE_HEADER), *rows]) + "\n")
     spec = tmp_path / "spec.json"
-    dump_process_spec(str(spec), IidGaussian(0.0, 1.0))
+    spec.write_text(IID_UNIT_SPEC)
 
     def draw(*args):
         raise AssertionError("a series was drawn before the input was checked")
@@ -321,7 +337,7 @@ def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, b
     assert len(err) == 1 and err[0].startswith("error:")
     assert needle in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "daily.csv", "ir.csv", "monthly.csv", "spec.json"]
+        "daily.csv", "inf.csv", "ir.csv", "monthly.csv", "nan.csv", "spec.json"]
 
 
 @pytest.mark.parametrize(
@@ -339,7 +355,7 @@ def test_oversized_draw_fails_naming_length(tmp_path, capsys, monkeypatch, argv,
     curve = tmp_path / "ir.csv"
     curve.write_text("\n".join([",".join(IR_CURVE_HEADER), *CURVE_ROWS]) + "\n")
     spec = tmp_path / "spec.json"
-    dump_process_spec(str(spec), IidGaussian(0.0, 1.0))
+    spec.write_text(IID_UNIT_SPEC)
 
     def stream(*args):
         raise AssertionError("a random stream was opened before the draw size was checked")

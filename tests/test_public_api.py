@@ -29,3 +29,42 @@ def test_package_exposes_exactly_the_pinned_names_and_every_all_entry_resolves()
         module = importlib.import_module(f"momir.{info.name}")
         missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
         assert not missing, f"momir.{info.name}.__all__ names missing attributes: {missing}"
+
+
+# Every module's ``__all__``, sorted; ``cli`` declares none.  A name that no
+# program path needs stays out, so re-adding one shows up as an edit here.
+MODULE_ALL = {
+    "cli": [],
+    "fit": ["FitResult", "fit_moment_profile", "fit_square_wave", "write_fit_result_json"],
+    "regimes": [
+        "AcfPoint", "RegimeCase", "RegimeStats", "Segment", "Segmentation", "acf",
+        "average_ir_curve", "best_segmentation", "detect_breakpoints", "filter_regimes",
+        "regime_stats", "weekly_segmentation", "write_regime_report_csv",
+    ],
+    "simulate": [
+        "IidGaussian", "McIrCurve", "MovingAverage", "ProcessSpec", "SquareWaveDrift",
+        "innovations", "load_process_spec", "ma_from_target_acf", "mc_ir_curve", "path_rng",
+        "series", "theoretical_acf_of_ma", "write_mc_ir_curve_csv",
+    ],
+    "strategy": [
+        "IrCurve", "PERIODS_PER_YEAR", "annualize", "backtest", "check_lookbacks", "ir_curve",
+        "ir_standard_error", "lookback_range", "read_ir_curve_csv", "write_ir_curve_csv",
+    ],
+    "theory": [
+        "MomentProfile", "TheoreticalIr", "ir_case1", "ir_case2", "realizability_violation",
+        "theoretical_ir", "theory_curve", "write_theory_curve_csv",
+    ],
+    "timeseries": [
+        "NormalizedReturnSeries", "PriceSeries", "ReturnSeries", "last_per_key", "log_returns",
+        "normalize", "read_csv", "read_price_csv", "read_value_csv", "resample_to_weekly",
+        "write_csv", "write_series_csv",
+    ],
+}
+
+
+def test_each_module_exports_exactly_the_pinned_all():
+    got = {
+        info.name: sorted(getattr(importlib.import_module(f"momir.{info.name}"), "__all__", []))
+        for info in pkgutil.iter_modules(momir.__path__)
+    }
+    assert got == MODULE_ALL

@@ -15,13 +15,12 @@ from momir.regimes import (
     best_segmentation,
     detect_breakpoints,
     filter_regimes,
-    monthly_last_indices,
     regime_stats,
     weekly_segmentation,
     write_regime_report_csv,
 )
 from momir.strategy import IrCurve, ir_curve
-from momir.timeseries import NormalizedReturnSeries, ReturnSeries
+from momir.timeseries import NormalizedReturnSeries, ReturnSeries, last_per_key
 
 from oracles import brute_force_breaks, full_row_dp_tables, sample_acf
 
@@ -30,7 +29,7 @@ def dated(values):
     """A weekly dated regime from 2001-01-05 holding ``values``."""
     start = dt.date(2001, 1, 5)
     dates = tuple(start + dt.timedelta(days=7 * i) for i in range(len(values)))
-    return NormalizedReturnSeries(dates, np.asarray(values, dtype=float), 10)
+    return NormalizedReturnSeries(dates, np.asarray(values, dtype=float))
 
 
 def two_piece(n_left=30, n_right=30, slope=1.0):
@@ -179,7 +178,7 @@ class TestFilterRegimes:
         segs = tuple(
             Segment(int(a), int(b), 0.0, 0.0, 0.0, 0.0) for a, b in zip(bounds, bounds[1:])
         )
-        return Segmentation(tuple(int(b) for b in bounds[1:-1]), segs, int(bounds[-1]))
+        return Segmentation(tuple(int(b) for b in bounds[1:-1]), segs)
 
     def test_keeps_long_segments(self):
         seg = self.make_seg([100, 90, 80])
@@ -249,7 +248,7 @@ class TestRegimeStats:
     def test_series_object_provides_span(self):
         start = dt.date(2001, 1, 5)
         dates = tuple(start + dt.timedelta(days=7 * i) for i in range(120))
-        series = NormalizedReturnSeries(dates, np.random.default_rng(10).standard_normal(120) + 0.5, 10)
+        series = NormalizedReturnSeries(dates, np.random.default_rng(10).standard_normal(120) + 0.5)
         stats = regime_stats(series, (1, 20))
         assert stats.start == dates[0]
         assert stats.end == dates[-1]
@@ -325,7 +324,7 @@ class TestWeeklyPipeline:
     def test_monthly_last_indices(self):
         dates = [dt.date(2000, 1, 7), dt.date(2000, 1, 14), dt.date(2000, 1, 28),
                  dt.date(2000, 2, 4), dt.date(2000, 3, 3), dt.date(2000, 3, 31)]
-        assert monthly_last_indices(dates).tolist() == [2, 3, 5]
+        assert last_per_key(dates, lambda d: (d.year, d.month)).tolist() == [2, 3, 5]
 
     @staticmethod
     def make_returns(noise_sd, seed=16, n=60 * 26):
@@ -359,7 +358,7 @@ def test_regime_report_format(tmp_path):
     rng = np.random.default_rng(17)
     start = dt.date(2001, 1, 5)
     dates = tuple(start + dt.timedelta(days=7 * i) for i in range(120))
-    series = NormalizedReturnSeries(dates, rng.standard_normal(120) + 0.4, 10)
+    series = NormalizedReturnSeries(dates, rng.standard_normal(120) + 0.4)
     stats = regime_stats(series, (1, 20))
     write_regime_report_csv(str(tmp_path / "regimes.csv"), [stats])
     lines = (tmp_path / "regimes.csv").read_text().strip().splitlines()

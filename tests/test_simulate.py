@@ -1,5 +1,5 @@
-import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from momir.simulate import (
     InfeasibleTargets,
     MovingAverage,
     SquareWaveDrift,
-    dump_process_spec,
     innovations,
     load_process_spec,
     ma_from_target_acf,
@@ -49,11 +48,12 @@ class TestSpecs:
             0.075, 0.15, 180, MovingAverage(0.0, (1.0, 0.05, 0.08), 1.5)
         )
         path = tmp_path / "spec.json"
-        dump_process_spec(str(path), spec)
+        path.write_text(
+            '{"variant": "square_wave_drift", "mu": 0.075, "amplitude": 0.15, "t_wave": 180,\n'
+            ' "noise": {"variant": "moving_average", "mu": 0.0,\n'
+            '           "coefficients": [1.0, 0.05, 0.08], "sigma": 1.5}}\n'
+        )
         assert load_process_spec(str(path)) == spec
-        payload = json.loads(path.read_text())
-        assert payload["variant"] == "square_wave_drift"
-        assert payload["noise"]["variant"] == "moving_average"
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown process variant"):
@@ -267,6 +267,20 @@ class TestMcIrCurve:
     def test_length_validation(self):
         with pytest.raises(ValueError, match="too short"):
             mc_ir_curve(IidGaussian(0.0, 1.0), (1, 50), paths=2, length=50, seed=0)
+
+    @pytest.mark.parametrize("run", [
+        lambda: mc_ir_curve(IidGaussian(0.0, 1.0), (1, 5_000_000), paths=2, length=100, seed=1),
+        lambda: ir_curve(np.ones(100), (1, 5_000_000)),
+    ], ids=["mc_ir_curve", "ir_curve"])
+    def test_oversized_lookback_range_fails_before_it_is_built(self, run):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too short for max lookback 5000000"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_mc_curve_csv_records_rng_metadata(tmp_path):

@@ -70,11 +70,6 @@ class TestMomentProfile:
         else:
             assert accepted
 
-    def test_rho_beyond_horizon_is_zero(self):
-        p = MomentProfile(0.0, 1.0, (0.3,))
-        assert p.rho(1) == 0.3
-        assert p.rho(2) == 0.0
-
 
 class TestExpectedReturn:
     def test_reduces_to_squared_drift(self):
