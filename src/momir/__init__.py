@@ -36,12 +36,11 @@ from .theory import (
     theory_curve,
 )
 from .regimes import (
-    AcfPoint,
     RegimeCase,
     RegimeStats,
     Segment,
     Segmentation,
-    acf,
+    acf1,
     average_ir_curve,
     best_segmentation,
     detect_breakpoints,

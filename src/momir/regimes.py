@@ -27,11 +27,10 @@ __all__ = [
     "Segmentation",
     "RegimeCase",
     "RegimeStats",
-    "AcfPoint",
     "detect_breakpoints",
     "best_segmentation",
     "filter_regimes",
-    "acf",
+    "acf1",
     "regime_stats",
     "average_ir_curve",
     "weekly_segmentation",
@@ -41,18 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Segment:
-    """Half-open index span [start, end) with its independent linear fit.
+    """Half-open index span [start, end) of one regime.
 
-    ``intercept`` is the fitted level at the segment's first sample; ``slope``
-    is per period.  ``resid_var`` is sse / max(length - 2, 1).
+    The span is all a regime keeps: the lines the segmentation fits exist
+    only as the dynamic program's costs.
     """
 
     start: int
     end: int
-    slope: float
-    intercept: float
-    resid_var: float
-    sse: float
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -60,35 +55,10 @@ class Segment:
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Breakpoints plus the fitted segments between them."""
+    """Breakpoints plus the segments between them."""
 
     breakpoints: tuple[int, ...]
     segments: tuple[Segment, ...]
-
-    @property
-    def rss(self) -> float:
-        return float(sum(s.sse for s in self.segments))
-
-
-def _fit_segment(y: np.ndarray, start: int, end: int) -> Segment:
-    """Least-squares line over y[start:end] with local x = 0..L-1."""
-    seg = y[start:end]
-    length = end - start
-    x = np.arange(length, dtype=float)
-    if length < 2:
-        return Segment(start, end, 0.0, float(seg[0]), 0.0, 0.0)
-    design = np.column_stack([np.ones(length), x])
-    coef, _, _, _ = np.linalg.lstsq(design, seg, rcond=None)
-    resid = seg - design @ coef
-    sse = float(resid @ resid)
-    return Segment(
-        start=start,
-        end=end,
-        slope=float(coef[1]),
-        intercept=float(coef[0]),
-        resid_var=sse / max(length - 2, 1),
-        sse=sse,
-    )
 
 
 # Elements in one column block of the segment-cost matrix; the block width is
@@ -154,9 +124,9 @@ def _backtrack(argt: np.ndarray, k: int, n: int) -> list[int]:
     return breaks
 
 
-def _build_segmentation(y: np.ndarray, breaks: Sequence[int]) -> Segmentation:
-    bounds = [0, *breaks, len(y)]
-    segments = tuple(_fit_segment(y, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
+def _build_segmentation(n: int, breaks: Sequence[int]) -> Segmentation:
+    bounds = [0, *breaks, n]
+    segments = tuple(Segment(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
     return Segmentation(breakpoints=tuple(int(b) for b in breaks), segments=segments)
 
 
@@ -174,7 +144,7 @@ def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
     opt, argt = _dp_tables(y - y[0], min_segment, n_breaks)
     if not np.isfinite(opt[n_breaks, len(y)]):
         raise ValueError(f"no admissible placement of {n_breaks} breaks")
-    return _build_segmentation(y, _backtrack(argt, n_breaks, len(y)))
+    return _build_segmentation(len(y), _backtrack(argt, n_breaks, len(y)))
 
 
 def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = None) -> Segmentation:
@@ -185,8 +155,7 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
     least-squares placement; BIC(k) = n*ln(sse/n) + (3k+2)*ln(n) picks k, with
     ties going to fewer breaks.  Each candidate's SSE is the dynamic program's
     own optimal cost, floored at 1e-12 * sum(z^2) with z = y - y[0], so that
-    noiseless data selects the minimal break count at any scale.  Lines are
-    fitted only for the winning segmentation.
+    noiseless data selects the minimal break count at any scale.
     """
     y = np.asarray(values, dtype=float)
     if min_segment < 2:
@@ -215,7 +184,7 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
     floor = max(1e-12 * float(z @ z), np.finfo(float).tiny)
     bic = n * np.log(np.maximum(opt[ks, n], floor) / n) + (3 * ks + 2) * math.log(n)
     best_k = int(ks[np.argmin(bic)])
-    return _build_segmentation(y, _backtrack(argt, best_k, n))
+    return _build_segmentation(n, _backtrack(argt, best_k, n))
 
 
 def filter_regimes(seg: Segmentation, min_weeks: int = 70) -> Segmentation:
@@ -231,37 +200,22 @@ def filter_regimes(seg: Segmentation, min_weeks: int = 70) -> Segmentation:
     return Segmentation(breakpoints=seg.breakpoints, segments=kept)
 
 
-@dataclass(frozen=True)
-class AcfPoint:
-    lag: int
-    value: float
-    se95: float
+def acf1(values) -> float:
+    """Sample lag-1 autocorrelation.
 
-
-def acf(values, max_lag: int) -> list[AcfPoint]:
-    """Sample autocorrelation at lags 1..max_lag with se95 = 1.96/sqrt(n).
-
-    The lag-k covariance averages the n-k overlapping products of deviations
+    The lag-1 covariance averages the n-1 overlapping products of deviations
     from the full-sample mean (so a perfectly alternating series scores
-    exactly -1 at lag 1) and is divided by the full-sample mean square
-    deviation.
+    exactly -1) and is divided by the full-sample mean square deviation.
     """
     x = np.asarray(values, dtype=float)
     n = len(x)
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
-    if n <= max_lag + 1:
-        raise ValueError(f"series of length {n} too short for max_lag {max_lag}")
+    if n <= 2:
+        raise ValueError(f"series of length {n} too short for a lag-1 autocorrelation")
     d = x - x.mean()
     denom = float(np.mean(d * d))
     if denom == 0.0:
         raise ValueError("autocorrelation of a zero-variance series is undefined")
-    se = Z95 / math.sqrt(n)
-    points = []
-    for lag in range(1, max_lag + 1):
-        cov = float(np.dot(d[lag:], d[:-lag])) / (n - lag)
-        points.append(AcfPoint(lag=lag, value=cov / denom, se95=se))
-    return points
+    return float(np.dot(d[1:], d[:-1])) / (n - 1) / denom
 
 
 class RegimeCase(str, enum.Enum):
@@ -293,8 +247,9 @@ def regime_stats(
     """IR curve, lag-1 autocorrelation, and case classification for one dated regime.
 
     The regime is drift-driven (case I) exactly when the lookback with the
-    highest annualized IR exceeds ``threshold_n``.  The IR standard error uses
-    the regime's week count.
+    highest annualized IR exceeds ``threshold_n``.  Both standard errors use
+    the regime's week count: ``acf_se`` = Z95 / sqrt(weeks) and ``ir_se`` from
+    :func:`ir_standard_error`.
     """
     values = x.values
     weeks = len(values)
@@ -303,16 +258,14 @@ def regime_stats(
     if not np.any(np.isfinite(ann)):
         raise ValueError("IR undefined at every lookback in this regime")
     best = int(np.nanargmax(ann))
-    acf1 = acf(values, 1)[0]
-    # Clip the tail-weighted covariance estimator at the boundary so the
-    # |acf1| <= 1 contract survives pathological tiny samples.
-    acf1_value = min(1.0, max(-1.0, acf1.value))
     return RegimeStats(
         start=x.dates[0],
         end=x.dates[-1],
         weeks=weeks,
-        acf1=acf1_value,
-        acf_se=acf1.se95,
+        # Clipped at the boundary: the tail-weighted covariance estimator can
+        # leave [-1, 1] on pathological tiny samples.
+        acf1=min(1.0, max(-1.0, acf1(values))),
+        acf_se=Z95 / math.sqrt(weeks),
         max_ir_annualized=float(ann[best]),
         max_ir_lookback=int(curve.n[best]),
         ir_se=ir_standard_error(weeks),
@@ -362,7 +315,8 @@ def weekly_segmentation(
     max_breaks: int | None = None,
 ) -> Segmentation:
     """Detect drift regimes on the monthly-sampled cumulative log series and
-    express them as weekly index spans with refitted weekly linear trends."""
+    express them as weekly index spans: a monthly break at b becomes the week
+    after the last week of month b - 1."""
     cumlog = np.cumsum(returns.returns)
     month_idx = last_per_key(returns.dates, lambda d: (d.year, d.month))
     if len(month_idx) < 2 * min_segment_months:
@@ -371,7 +325,7 @@ def weekly_segmentation(
             f"(need {2 * min_segment_months})"
         )
     seg = detect_breakpoints(cumlog[month_idx], min_segment_months, max_breaks)
-    return _build_segmentation(cumlog, [int(month_idx[b - 1]) + 1 for b in seg.breakpoints])
+    return _build_segmentation(len(cumlog), [int(month_idx[b - 1]) + 1 for b in seg.breakpoints])
 
 
 REGIME_REPORT_HEADER = [

@@ -43,6 +43,11 @@ __all__ = [
 # Tolerance used when testing the correlation structure for realizability.
 PSD_TOLERANCE = 1e-10
 
+# Largest lookback :func:`write_theory_curve_csv` evaluates.  No series length
+# bounds the closed-form curve, and its time, memory and file size all grow
+# with ``--n-max``.
+MAX_THEORY_N = 2**16
+
 
 def realizability_violation(autocorr: Sequence[float]) -> float:
     """How far the Toeplitz correlation matrix is from realizable; 0 when it is.
@@ -157,6 +162,13 @@ def ir_case2(autocorr: Sequence[float], n: int) -> float:
 
 
 def write_theory_curve_csv(path: str, profile: MomentProfile, n_range: tuple[int, int]) -> None:
+    """Write the closed-form curve over [n_min, n_max], at most :data:`MAX_THEORY_N`.
+
+    The range is checked by its ends before it is built: an n_max above the
+    cap fails naming ``--n-max``, and :func:`lookback_range` checks the rest.
+    """
+    if int(n_range[1]) > MAX_THEORY_N:
+        raise ValueError(f"--n-max {n_range[1]} exceeds the closed-form limit of {MAX_THEORY_N}")
     ns = lookback_range(n_range)
     mean, variance, ir = theory_curve(profile, ns)
     rows = zip(*(c.tolist() for c in (ns, mean, variance, ir)))

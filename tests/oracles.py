@@ -122,6 +122,11 @@ def segment_sse(y: np.ndarray, start: int, end: int) -> float:
     return float(resid @ resid)
 
 
+def spans_sse(y: np.ndarray, segments) -> float:
+    """Total SSE of an independent line over each (start, end) span."""
+    return float(sum(segment_sse(y, s.start, s.end) for s in segments))
+
+
 def brute_force_breaks(y: np.ndarray, n_breaks: int, min_segment: int) -> tuple[tuple[int, ...], float]:
     """Exhaustively minimize total SSE over all admissible break placements."""
     n = len(y)

@@ -34,6 +34,7 @@ from oracles import (
     ir_with_batch_se,
     mean_with_se,
     payoffs_from_correlated_normals,
+    spans_sse,
     toeplitz_covariance,
     variance_with_se,
 )
@@ -218,13 +219,14 @@ def test_breakpoint_recovery_battery():
     # break lands on the kink or one sample after it, with zero residual
     y2 = np.r_[np.arange(40.0), 39.0 - np.arange(1.0, 41.0)]
     seg2 = detect_breakpoints(y2, min_segment=5, max_breaks=4)
-    exact = seg2.breakpoints in ((39,), (40,)) and seg2.rss < 1e-16
+    rss2 = spans_sse(y2, seg2.segments)
+    exact = seg2.breakpoints in ((39,), (40,)) and rss2 < 1e-16
     elapsed = time.time() - t0
     report(
         "breakpoint recovery battery",
         hits >= 90 and exact and elapsed < 60.0,
         f"{hits}/100 trials within +-8; noiseless kink at {seg2.breakpoints} "
-        f"(rss {seg2.rss:.1e}); {elapsed:.1f}s",
+        f"(rss {rss2:.1e}); {elapsed:.1f}s",
     )
 
 
@@ -243,7 +245,8 @@ def test_dp_matches_exhaustive_search():
         y = np.cumsum(rng.standard_normal(n)) + 0.3 * np.arange(n)
         seg = best_segmentation(y, n_breaks, min_segment=8)
         breaks, sse = brute_force_breaks(y, n_breaks, min_segment=8)
-        same = seg.breakpoints == breaks and math.isclose(seg.rss, sse, rel_tol=1e-9, abs_tol=1e-9)
+        rss = spans_sse(y, seg.segments)
+        same = seg.breakpoints == breaks and math.isclose(rss, sse, rel_tol=1e-9, abs_tol=1e-9)
         if not same:
             mismatches.append((case, seg.breakpoints, breaks))
     report(

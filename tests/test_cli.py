@@ -291,6 +291,7 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "monthly.csv: median gap of 31 days"),
         ("simulate --spec {spec} --n-min 5 --n-max 3 --seed 1", None, "lookbacks"),
         ("theory --mu 0.1 --variance 2.25 --rho 0.1,x --n-max 5", None, "--rho, lag 2"),
+        ("theory --mu 0.1 --variance 2.25 --n-max 200000", None, "--n-max 200000"),
         ("fit --input {curve} --model stationary --k-lags 1 --fixed-sd nan", None, "--fixed-sd"),
         ("fit --input {curve} --model squarewave --mu-fixed nan --seed 1", None, "--mu-fixed"),
         ("fit --input {curve} --model squarewave --mu-fixed inf --seed 1", None, "--mu-fixed"),
@@ -301,7 +302,8 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "inf-ir-cell", "nan-return",
          "inf-return", "zero-t-step", "ir-daily-returns",
-         "regimes-month-end-returns", "empty-lookback-range", "theory-bad-rho", "nan-fixed-sd",
+         "regimes-month-end-returns", "empty-lookback-range", "theory-bad-rho",
+         "theory-oversized-n-max", "nan-fixed-sd",
          "nan-mu-fixed", "inf-mu-fixed", "nan-sigma-fixed", "fit-negative-seed",
          "simulate-negative-seed"],
 )

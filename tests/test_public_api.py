@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import momir
@@ -7,10 +9,10 @@ import momir
 # Every public non-module name of the package: adding or removing a public
 # path shows up as an edit to this table.
 PUBLIC_NAMES = [
-    "AcfPoint", "IidGaussian", "InfeasibleTargets", "IrCurve", "McIrCurve", "MomentProfile",
+    "IidGaussian", "InfeasibleTargets", "IrCurve", "McIrCurve", "MomentProfile",
     "MovingAverage", "NormalizedReturnSeries", "PriceSeries", "ProcessSpec", "RegimeCase",
     "RegimeStats", "ReturnSeries", "Segment", "Segmentation", "SquareWaveDrift", "TheoreticalIr",
-    "acf", "annualize", "average_ir_curve", "backtest", "best_segmentation", "detect_breakpoints",
+    "acf1", "annualize", "average_ir_curve", "backtest", "best_segmentation", "detect_breakpoints",
     "filter_regimes", "ir_case1", "ir_case2", "ir_curve", "ir_standard_error",
     "load_process_spec", "log_returns", "ma_from_target_acf", "mc_ir_curve", "normalize",
     "read_ir_curve_csv", "read_price_csv", "read_value_csv", "regime_stats",
@@ -37,7 +39,7 @@ MODULE_ALL = {
     "cli": [],
     "fit": ["FitResult", "fit_moment_profile", "fit_square_wave", "write_fit_result_json"],
     "regimes": [
-        "AcfPoint", "RegimeCase", "RegimeStats", "Segment", "Segmentation", "acf",
+        "RegimeCase", "RegimeStats", "Segment", "Segmentation", "acf1",
         "average_ir_curve", "best_segmentation", "detect_breakpoints", "filter_regimes",
         "regime_stats", "weekly_segmentation", "write_regime_report_csv",
     ],
@@ -68,3 +70,39 @@ def test_each_module_exports_exactly_the_pinned_all():
         for info in pkgutil.iter_modules(momir.__path__)
     }
     assert got == MODULE_ALL
+
+
+SRC = pathlib.Path(momir.__file__).parent
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_outside_its_own_class():
+    # A field that no code outside its class reads as an attribute is carried
+    # but never used; attribute names are matched without resolving types.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    fields = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        fields.append((module, node, stmt.target.id))
+    unread = []
+    for module, cls, field in fields:
+        own = {id(n) for n in ast.walk(cls)}
+        read = any(
+            isinstance(n, ast.Attribute) and n.attr == field
+            and isinstance(n.ctx, ast.Load) and id(n) not in own
+            for tree in trees.values() for n in ast.walk(tree)
+        )
+        if not read:
+            unread.append(f"{module}:{cls.name}.{field}")
+    assert not unread, f"dataclass fields no code reads: {unread}"

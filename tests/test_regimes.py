@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from momir.regimes import (
     RegimeCase,
+    Segment,
     Segmentation,
-    acf,
+    acf1,
     average_ir_curve,
     best_segmentation,
     detect_breakpoints,
@@ -19,10 +20,10 @@ from momir.regimes import (
     weekly_segmentation,
     write_regime_report_csv,
 )
-from momir.strategy import IrCurve, ir_curve
+from momir.strategy import Z95, IrCurve, ir_curve
 from momir.timeseries import NormalizedReturnSeries, ReturnSeries, last_per_key
 
-from oracles import brute_force_breaks, full_row_dp_tables, sample_acf
+from oracles import brute_force_breaks, full_row_dp_tables, sample_acf, segment_sse, spans_sse
 
 
 def dated(values):
@@ -45,8 +46,10 @@ class TestDetectBreakpoints:
         assert len(seg.breakpoints) == 1
         # the apex sample fits either adjoining line exactly
         assert seg.breakpoints[0] in (29, 30)
-        assert seg.rss < 1e-18
-        assert all(s.resid_var < 1e-18 for s in seg.segments)
+        assert spans_sse(y, seg.segments) < 1e-18
+        # residual variance sse / max(length - 2, 1) of each span's line
+        resid_var = [segment_sse(y, s.start, s.end) / max(len(s) - 2, 1) for s in seg.segments]
+        assert all(v < 1e-18 for v in resid_var)
 
     def test_pure_linear_selects_no_breaks(self):
         y = 0.37 * np.arange(90.0) - 4.0
@@ -76,7 +79,7 @@ class TestDetectBreakpoints:
     def test_more_breaks_never_increase_rss(self):
         rng = np.random.default_rng(4)
         y = np.cumsum(rng.standard_normal(120))
-        rss = [best_segmentation(y, k, 10).rss for k in range(0, 5)]
+        rss = [spans_sse(y, best_segmentation(y, k, 10).segments) for k in range(0, 5)]
         for a, b in zip(rss, rss[1:]):
             assert b <= a + 1e-9
 
@@ -154,7 +157,7 @@ class TestDpOptimality:
         seg = best_segmentation(y, k, min_segment=8)
         breaks, sse = brute_force_breaks(y, k, min_segment=8)
         assert seg.breakpoints == breaks
-        assert seg.rss == pytest.approx(sse, rel=1e-9, abs=1e-9)
+        assert spans_sse(y, seg.segments) == pytest.approx(sse, rel=1e-9, abs=1e-9)
 
     def test_tables_match_the_full_row_recurrence(self):
         # Levels skip the rows that cannot hold a split; the tables must not move.
@@ -173,11 +176,7 @@ class TestDpOptimality:
 class TestFilterRegimes:
     def make_seg(self, lengths):
         bounds = np.concatenate([[0], np.cumsum(lengths)])
-        from momir.regimes import Segment
-
-        segs = tuple(
-            Segment(int(a), int(b), 0.0, 0.0, 0.0, 0.0) for a, b in zip(bounds, bounds[1:])
-        )
+        segs = tuple(Segment(int(a), int(b)) for a, b in zip(bounds, bounds[1:]))
         return Segmentation(tuple(int(b) for b in bounds[1:-1]), segs)
 
     def test_keeps_long_segments(self):
@@ -198,13 +197,11 @@ class TestFilterRegimes:
 class TestAcf:
     def test_iid_standard_error(self):
         values = np.random.default_rng(5).standard_normal(117)
-        points = acf(values, 3)
-        assert points[0].se95 == pytest.approx(0.18, abs=0.005)
-        assert [p.lag for p in points] == [1, 2, 3]
+        assert regime_stats(dated(values), (1, 20)).acf_se == pytest.approx(0.18, abs=0.005)
 
     def test_alternating_series_is_minus_one(self):
         values = np.tile([1.0, -1.0], 60)
-        assert acf(values, 1)[0].value == pytest.approx(-1.0, abs=1e-12)
+        assert acf1(values) == pytest.approx(-1.0, abs=1e-12)
 
     def test_ar1_recovery(self):
         rng = np.random.default_rng(6)
@@ -213,18 +210,15 @@ class TestAcf:
         x[0] = rng.standard_normal()
         for t in range(1, n):
             x[t] = phi * x[t - 1] + rng.standard_normal()
-        point = acf(x, 1)[0]
-        assert abs(point.value - phi) < 3 * point.se95
+        assert abs(acf1(x) - phi) < 3 * Z95 / math.sqrt(n)
 
     def test_matches_independent_estimator(self):
         values = np.random.default_rng(7).standard_normal(300)
-        points = acf(values, 5)
-        for p in points:
-            assert p.value == pytest.approx(sample_acf(values, p.lag), rel=1e-12)
+        assert acf1(values) == pytest.approx(sample_acf(values, 1), rel=1e-12)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="zero-variance"):
-            acf(np.ones(50), 1)
+            acf1(np.ones(50))
 
 
 class TestRegimeStats:
@@ -342,8 +336,11 @@ class TestWeeklyPipeline:
         assert len(seg.breakpoints) == 1
         # monthly sampling places the break within a few weeks of the flip
         assert abs(seg.breakpoints[0] - n // 2) <= 5
-        assert seg.segments[0].slope == pytest.approx(0.004, abs=1e-4)
-        assert seg.segments[1].slope == pytest.approx(-0.004, abs=1e-4)
+        # each weekly span's least-squares drift of the cumulative log series
+        cumlog = np.cumsum(returns.returns)
+        slopes = [np.polyfit(np.arange(len(s)), cumlog[s.start:s.end], 1)[0] for s in seg.segments]
+        assert slopes[0] == pytest.approx(0.004, abs=1e-4)
+        assert slopes[1] == pytest.approx(-0.004, abs=1e-4)
 
     def test_weekly_segmentation_finds_flip_under_noise(self):
         # integrated noise makes BIC report extra swings, but the drift flip

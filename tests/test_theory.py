@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import pytest
 
 from momir.theory import (
+    MAX_THEORY_N,
     MomentProfile,
     ir_case1,
     ir_case2,
@@ -195,3 +197,26 @@ def test_theory_csv_shape(tmp_path):
     assert lines[0] == "n,mean,variance,ir"
     assert len(lines) == 4
     assert lines[1].startswith("1,")
+
+
+@pytest.mark.parametrize("n_range", [(1, MAX_THEORY_N + 1), (MAX_THEORY_N + 1, 10**12)])
+def test_oversized_theory_range_fails_before_it_is_built(tmp_path, n_range):
+    # A 10^12-row curve would take terabytes; the check must read only the ends.
+    out = tmp_path / "theory.csv"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="--n-max"):
+            write_theory_curve_csv(str(out), MomentProfile(0.1, 1.0, (0.05,)), n_range)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not out.exists()
+
+
+def test_theory_range_up_to_the_cap_is_written(tmp_path):
+    out = tmp_path / "theory.csv"
+    n_range = (MAX_THEORY_N - 2, MAX_THEORY_N)
+    write_theory_curve_csv(str(out), MomentProfile(0.1, 1.0, (0.05,)), n_range)
+    lines = out.read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["65534", "65535", "65536"]
