@@ -61,55 +61,93 @@ class Segmentation:
     segments: tuple[Segment, ...]
 
 
-# Elements in one column block of the segment-cost matrix; the block width is
-# this over the row count, so segmentation memory stays O(n) however long the
-# series is.
-COST_BLOCK_ELEMENTS = 2**18
+# Elements in one block of the segment-cost matrix, the same L2-sized block as
+# strategy.IR_BLOCK_ELEMENTS: the block height is this over the column count,
+# so a block, its candidate buffer and their temporaries stay in cache, and
+# segmentation memory stays O(n) however long the series is.
+COST_BLOCK_ELEMENTS = 2**16
+# Most cells the dynamic program may scan (see _dp_cells): about 3 s at the
+# 2.6 ns a cell measured on a 2-core Xeon.  Its (K+1)(n+1) tables hold far
+# fewer entries, so this bounds its memory too.
+MAX_DP_CELLS = 2**30
+
+
+def _block_height(n: int) -> int:
+    return max(1, COST_BLOCK_ELEMENTS // (n + 1))
+
+
+def _dp_cells(n: int, min_segment: int, max_breaks: int) -> int:
+    """Cells the dynamic program scans over a series of ``n`` samples.
+
+    A block of end points [j0, j1) costs (j1 - j0) * j1 cells for its segment
+    costs, and level k scans (j1 - j0) * (j1 - k * min_segment) more while
+    k * min_segment < j1; the level sum is in closed form per block.
+    """
+    height = _block_height(n)
+    cells = 0
+    for j0 in range(0, n + 1, height):
+        j1 = min(j0 + height, n + 1)
+        levels = min(max_breaks, (j1 - 1) // min_segment)
+        cells += (j1 - j0) * ((levels + 1) * j1 - min_segment * levels * (levels + 1) // 2)
+    return cells
 
 
 def _dp_tables(y: np.ndarray, min_segment: int, max_breaks: int) -> tuple[np.ndarray, np.ndarray]:
     """opt[k, j]: minimal SSE splitting [0, j) into k+1 segments; argt backtracks.
 
     The cost of a line over [i, j) (inf where j - i < min_segment) comes in
-    closed form from prefix sums.  It is made one block of columns j at a
-    time, and every break count is advanced over that block before the next:
-    opt[k, j] needs opt[k - 1, i] only for i < j, so the (n+1)^2 cost matrix
-    is never held, and level k scans only the rows i >= k * min_segment that
-    can hold a split.  Callers pass the series shifted to start at zero, which
-    keeps the prefix sums small and makes the costs independent of the level.
+    closed form from prefix sums.  It is made one block of end points j at a
+    time, laid out (j, i) so that every reduction runs along contiguous
+    memory, and every break count is advanced over that block before the
+    next: opt[k, j] needs opt[k - 1, i] only for i < j, so the (n+1)^2 cost
+    matrix is never held.  Level k scans only the starts i >= k * min_segment
+    that can hold a split, adding opt[k - 1, i] into one reused candidate
+    buffer and taking the first minimum along i.  Callers pass the series
+    shifted to start at zero, which keeps the prefix sums small and makes the
+    costs independent of the level.  A series whose scan would exceed
+    :data:`MAX_DP_CELLS` fails before anything is allocated.
     """
     n = len(y)
+    cells = _dp_cells(n, min_segment, max_breaks)
+    if cells > MAX_DP_CELLS:
+        raise ValueError(
+            f"segmenting {n} samples into up to {max_breaks + 1} segments of >= {min_segment} "
+            f"would scan {cells:.3g} cells, over the budget of {MAX_DP_CELLS:.3g}; "
+            "lower --max-breaks or raise --min-segment-months"
+        )
     x = np.arange(n, dtype=float)
     px, py, pxx, pxy, pyy = (
         np.concatenate([[0.0], np.cumsum(v)]) for v in (x, y, x * x, x * y, y * y)
     )
     opt = np.full((max_breaks + 1, n + 1), np.inf)
     argt = np.zeros((max_breaks + 1, n + 1), dtype=int)
-    width = max(1, COST_BLOCK_ELEMENTS // (n + 1))
-    for j0 in range(0, n + 1, width):
-        j1 = min(j0 + width, n + 1)
-        i = np.arange(j1, dtype=float)[:, None]
-        length = np.arange(j0, j1, dtype=float)[None, :] - i
+    height = _block_height(n)
+    buffer = np.empty(height * (n + 1))
+    for j0 in range(0, n + 1, height):
+        j1 = min(j0 + height, n + 1)
+        i = np.arange(j1, dtype=float)[None, :]
+        length = np.arange(j0, j1, dtype=float)[:, None] - i
         with np.errstate(invalid="ignore", divide="ignore"):
             sx, sy, sxx, sxy, syy = (
-                p[None, j0:j1] - p[:j1, None] for p in (px, py, pxx, pxy, pyy)
+                p[j0:j1, None] - p[None, :j1] for p in (px, py, pxx, pxy, pyy)
             )
             cxx = sxx - sx * sx / length
             cxy = sxy - sx * sy / length
             cyy = syy - sy * sy / length
             sse = cyy - cxy * cxy / cxx
         cost = np.where(length >= min_segment, np.maximum(sse, 0.0), np.inf)
-        opt[0, j0:j1] = cost[0]
-        columns = np.arange(j1 - j0)
+        opt[0, j0:j1] = cost[:, 0]
+        rows = np.arange(j1 - j0)
         for k in range(1, max_breaks + 1):
-            # k segments of >= min_segment end no earlier than row k * min_segment;
-            # opt[k - 1] is inf on every row above it.
+            # k segments of >= min_segment end no earlier than k * min_segment;
+            # opt[k - 1] is inf at every start before it.
             first = k * min_segment
             if first >= j1:
                 break
-            cand = opt[k - 1, first:j1, None] + cost[first:]
-            t = np.argmin(cand, axis=0)
-            opt[k, j0:j1] = cand[t, columns]
+            cand = buffer[: (j1 - j0) * (j1 - first)].reshape(j1 - j0, j1 - first)
+            np.add(opt[k - 1, first:j1], cost[:, first:], out=cand)
+            t = np.argmin(cand, axis=1)
+            opt[k, j0:j1] = cand[rows, t]
             argt[k, j0:j1] = t + first
     return opt, argt
 
@@ -155,7 +193,9 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
     least-squares placement; BIC(k) = n*ln(sse/n) + (3k+2)*ln(n) picks k, with
     ties going to fewer breaks.  Each candidate's SSE is the dynamic program's
     own optimal cost, floored at 1e-12 * sum(z^2) with z = y - y[0], so that
-    noiseless data selects the minimal break count at any scale.
+    noiseless data selects the minimal break count at any scale.  A series
+    whose dynamic program would scan more than :data:`MAX_DP_CELLS` cells
+    fails before it starts.
     """
     y = np.asarray(values, dtype=float)
     if min_segment < 2:

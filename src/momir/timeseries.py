@@ -138,9 +138,10 @@ def last_per_key(dates: Sequence[dt.date], key: Callable[[dt.date], Hashable]) -
 def resample_to_weekly(prices: PriceSeries) -> PriceSeries:
     """Keep the last available observation of each ISO week (Monday-start).
 
-    Weeks with no observations are skipped.
+    A week is keyed by the ordinal of its Monday.  Weeks with no observations
+    are skipped.
     """
-    idx = last_per_key(prices.dates, lambda d: d.isocalendar()[:2])
+    idx = last_per_key(prices.dates, lambda d: d.toordinal() - d.weekday())
     return PriceSeries(dates=tuple(prices.dates[i] for i in idx), prices=prices.prices[idx])
 
 

@@ -289,6 +289,8 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
         ("ir --input {daily} --n-max 5", None, "daily.csv: median gap of 1 days"),
         ("regimes --input {monthly} --output-curve {tmp}/avg.csv", None,
          "monthly.csv: median gap of 31 days"),
+        ("regimes --input {tmp}/long.csv --output-curve {tmp}/avg.csv --min-segment-months 3",
+         None, "lower --max-breaks or raise --min-segment-months"),
         ("simulate --spec {spec} --n-min 5 --n-max 3 --seed 1", None, "lookbacks"),
         ("theory --mu 0.1 --variance 2.25 --rho 0.1,x --n-max 5", None, "--rho, lag 2"),
         ("theory --mu 0.1 --variance 2.25 --n-max 200000", None, "--n-max 200000"),
@@ -302,7 +304,7 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "inf-ir-cell", "nan-return",
          "inf-return", "zero-t-step", "ir-daily-returns",
-         "regimes-month-end-returns", "empty-lookback-range", "theory-bad-rho",
+         "regimes-month-end-returns", "regimes-oversized-segmentation", "empty-lookback-range", "theory-bad-rho",
          "theory-oversized-n-max", "nan-fixed-sd",
          "nan-mu-fixed", "inf-mu-fixed", "nan-sigma-fixed", "fit-negative-seed",
          "simulate-negative-seed"],
@@ -319,6 +321,10 @@ def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, b
         values = ["0.01"] * 149 + [cell] + ["0.01"] * 50
         (tmp_path / f"{cell}.csv").write_text(
             "date,value\n" + "".join(f"{d.isoformat()},{v}\n" for d, v in zip(weekly, values)))
+    # 250 years of weeks: ~3000 months, whose segmentation at 3-month minimum
+    # segments would scan ~1.5e9 cells
+    long_weeks = weekly_dates(dt.date(1750, 1, 2), 13045)
+    write_series_csv(str(tmp_path / "long.csv"), long_weeks, np.full(len(long_weeks), 0.01))
     rows = list(CURVE_ROWS)
     if bad_row is not None:
         rows[1] = bad_row
@@ -339,7 +345,7 @@ def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, b
     assert len(err) == 1 and err[0].startswith("error:")
     assert needle in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "daily.csv", "inf.csv", "ir.csv", "monthly.csv", "nan.csv", "spec.json"]
+        "daily.csv", "inf.csv", "ir.csv", "long.csv", "monthly.csv", "nan.csv", "spec.json"]
 
 
 @pytest.mark.parametrize(

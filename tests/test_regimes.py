@@ -159,18 +159,85 @@ class TestDpOptimality:
         assert seg.breakpoints == breaks
         assert spans_sse(y, seg.segments) == pytest.approx(sse, rel=1e-9, abs=1e-9)
 
-    def test_tables_match_the_full_row_recurrence(self):
-        # Levels skip the rows that cannot hold a split; the tables must not move.
-        from momir.regimes import _dp_tables
+    def test_tables_match_the_full_row_recurrence(self, monkeypatch):
+        # Levels skip the starts that cannot hold a split and the cost matrix
+        # comes one block of end points at a time; the tables must not move,
+        # whatever the block height.  Heights: 1, 7 and the default (109) do
+        # not divide n + 1 = 601 (prime), 601 is one block.
+        from momir import regimes
 
-        y = np.cumsum(np.random.default_rng(61).standard_normal(600))
-        z = y - y[0]
-        opt, argt = _dp_tables(z, 12, 600 // 12 - 1)
-        ref_opt, ref_argt = full_row_dp_tables(z, 12, 600 // 12 - 1)
-        assert np.array_equal(opt, ref_opt)
-        finite = np.isfinite(ref_opt)
-        assert finite.sum() > 10000
-        assert np.array_equal(argt[finite], ref_argt[finite])
+        rng = np.random.default_rng(61)
+        walk = np.cumsum(rng.standard_normal(600))
+        # integer steps with long flat runs: many splits cost the same, and on
+        # the flat start every admissible split costs exactly 0
+        steps = np.concatenate([np.zeros(120), np.repeat(rng.integers(-3, 4, 24), 20)])
+        default = regimes.COST_BLOCK_ELEMENTS
+        for y in (walk, steps):
+            z = y - y[0]
+            ref_opt, ref_argt = full_row_dp_tables(z, 12, 600 // 12 - 1)
+            finite = np.isfinite(ref_opt)
+            assert finite.sum() > 10000
+            for elements in (601, 7 * 601, default, 601 * 601):
+                monkeypatch.setattr(regimes, "COST_BLOCK_ELEMENTS", elements)
+                opt, argt = regimes._dp_tables(z, 12, 600 // 12 - 1)
+                assert np.array_equal(opt, ref_opt), elements
+                assert np.array_equal(argt[finite], ref_argt[finite]), elements
+        # first-index tie-breaking: on the flat start the last segment of a
+        # zero-cost split starts at the first admissible point
+        for k in range(1, 9):
+            assert np.all(argt[k, (k + 1) * 12 : 121] == k * 12)
+
+    @pytest.mark.parametrize("n, min_segment, max_breaks", [(600, 12, 49), (600, 12, 3),
+                                                            (97, 2, 47), (1380, 12, 114)])
+    @pytest.mark.parametrize("elements", [1, 7 * 601, None])
+    def test_cell_count_is_what_the_tables_scan(self, monkeypatch, n, min_segment, max_breaks,
+                                                elements):
+        # every scanned cell passes through one np.where (the segment costs)
+        # or one np.argmin (a level's candidates)
+        from momir import regimes
+
+        if elements is not None:
+            monkeypatch.setattr(regimes, "COST_BLOCK_ELEMENTS", elements)
+        scanned = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def where(self, condition, *args):
+                scanned.append(np.size(condition))
+                return np.where(condition, *args)
+
+            def argmin(self, a, axis):
+                scanned.append(a.size)
+                return np.argmin(a, axis=axis)
+
+        monkeypatch.setattr(regimes, "np", CountingNumpy())
+        y = np.cumsum(np.random.default_rng(n).standard_normal(n))
+        regimes._dp_tables(y - y[0], min_segment, max_breaks)
+        assert sum(scanned) == regimes._dp_cells(n, min_segment, max_breaks)
+
+
+class TestDpBudget:
+    def test_history_scale_is_within_budget(self):
+        # ~115 years of months at the CLI defaults: 1380 samples, K = 114
+        from momir.regimes import MAX_DP_CELLS, _dp_cells
+
+        assert _dp_cells(1380, 12, 114) < MAX_DP_CELLS // 16
+
+    def test_oversized_segmentation_fails_before_it_allocates(self):
+        # 20000 months at the defaults would scan ~1.1e11 cells and hold
+        # (K+1)(n+1) = 1667 x 20001 tables, 533 MB
+        y = np.cumsum(np.random.default_rng(9).normal(0.01, 1, 20000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="--max-breaks or raise --min-segment-months"):
+                detect_breakpoints(y, min_segment=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the shifted copy of the series, 160 kB, is all it holds
+        assert peak < 2**20
 
 
 class TestFilterRegimes:

@@ -96,6 +96,27 @@ class TestResampleToWeekly:
         weekly = resample_to_weekly(PriceSeries(tuple(days), np.linspace(10, 12, 21)))
         assert len(weekly) == 3
 
+    @pytest.mark.parametrize("year", [2004, 2015, 2020])
+    def test_keeps_the_rows_of_the_iso_calendar_rule_across_year_ends(self, year):
+        # 2004, 2015 and 2020 have 53 ISO weeks; the last one runs into January
+        start = dt.date(year, 12, 1)
+        days = [start + dt.timedelta(days=i) for i in range(70) if i % 11 not in (3, 4)]
+        self.assert_iso_rule(days)
+
+    def test_keeps_the_rows_of_the_iso_calendar_rule_on_random_dates(self):
+        rng = np.random.default_rng(2024)
+        ordinals = np.unique(rng.integers(dt.date(1890, 1, 1).toordinal(),
+                                          dt.date(2110, 1, 1).toordinal(), 30000))
+        self.assert_iso_rule([dt.date.fromordinal(int(o)) for o in ordinals])
+
+    @staticmethod
+    def assert_iso_rule(days):
+        kept = [i for i in range(len(days))
+                if i + 1 == len(days) or days[i + 1].isocalendar()[:2] != days[i].isocalendar()[:2]]
+        weekly = resample_to_weekly(PriceSeries(tuple(days), np.arange(1.0, len(days) + 1)))
+        assert weekly.dates == tuple(days[i] for i in kept)
+        assert np.array_equal(weekly.prices, np.asarray(kept) + 1.0)
+
 
 class TestNormalize:
     def test_constant_returns_map_to_one(self):
