@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .strategy import IrCurve, Z95, ir_curve, ir_standard_error
+from .strategy import IrCurve, Z95, block_rows, ir_curve, ir_standard_error
 from .timeseries import NormalizedReturnSeries, ReturnSeries, last_per_key, write_csv
 
 __all__ = [
@@ -61,19 +61,10 @@ class Segmentation:
     segments: tuple[Segment, ...]
 
 
-# Elements in one block of the segment-cost matrix, the same L2-sized block as
-# strategy.IR_BLOCK_ELEMENTS: the block height is this over the column count,
-# so a block, its candidate buffer and their temporaries stay in cache, and
-# segmentation memory stays O(n) however long the series is.
-COST_BLOCK_ELEMENTS = 2**16
 # Most cells the dynamic program may scan (see _dp_cells): about 3 s at the
 # 2.6 ns a cell measured on a 2-core Xeon.  Its (K+1)(n+1) tables hold far
 # fewer entries, so this bounds its memory too.
 MAX_DP_CELLS = 2**30
-
-
-def _block_height(n: int) -> int:
-    return max(1, COST_BLOCK_ELEMENTS // (n + 1))
 
 
 def _dp_cells(n: int, min_segment: int, max_breaks: int) -> int:
@@ -83,7 +74,7 @@ def _dp_cells(n: int, min_segment: int, max_breaks: int) -> int:
     costs, and level k scans (j1 - j0) * (j1 - k * min_segment) more while
     k * min_segment < j1; the level sum is in closed form per block.
     """
-    height = _block_height(n)
+    height = block_rows(n + 1)
     cells = 0
     for j0 in range(0, n + 1, height):
         j1 = min(j0 + height, n + 1)
@@ -100,12 +91,13 @@ def _dp_tables(y: np.ndarray, min_segment: int, max_breaks: int) -> tuple[np.nda
     time, laid out (j, i) so that every reduction runs along contiguous
     memory, and every break count is advanced over that block before the
     next: opt[k, j] needs opt[k - 1, i] only for i < j, so the (n+1)^2 cost
-    matrix is never held.  Level k scans only the starts i >= k * min_segment
-    that can hold a split, adding opt[k - 1, i] into one reused candidate
-    buffer and taking the first minimum along i.  Callers pass the series
-    shifted to start at zero, which keeps the prefix sums small and makes the
-    costs independent of the level.  A series whose scan would exceed
-    :data:`MAX_DP_CELLS` fails before anything is allocated.
+    matrix is never held; a block has the IR kernel's cache-sized height,
+    :func:`momir.strategy.block_rows` (n + 1).  Level k scans only the starts
+    i >= k * min_segment that can hold a split, adding opt[k - 1, i] into one
+    reused candidate buffer and taking the first minimum along i.  Callers
+    pass the series shifted to start at zero, which keeps the prefix sums
+    small and makes the costs independent of the level.  A series whose scan
+    would exceed :data:`MAX_DP_CELLS` fails before anything is allocated.
     """
     n = len(y)
     cells = _dp_cells(n, min_segment, max_breaks)
@@ -121,7 +113,7 @@ def _dp_tables(y: np.ndarray, min_segment: int, max_breaks: int) -> tuple[np.nda
     )
     opt = np.full((max_breaks + 1, n + 1), np.inf)
     argt = np.zeros((max_breaks + 1, n + 1), dtype=int)
-    height = _block_height(n)
+    height = block_rows(n + 1)
     buffer = np.empty(height * (n + 1))
     for j0 in range(0, n + 1, height):
         j1 = min(j0 + height, n + 1)
@@ -168,11 +160,21 @@ def _build_segmentation(n: int, breaks: Sequence[int]) -> Segmentation:
     return Segmentation(breakpoints=tuple(int(b) for b in breaks), segments=segments)
 
 
-def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
-    """Globally optimal segmentation with exactly ``n_breaks`` breaks."""
+def _segmentable(values, min_segment: int) -> np.ndarray:
+    """``values`` as floats, failing on a minimum segment below 2 or a non-finite value."""
     y = np.asarray(values, dtype=float)
     if min_segment < 2:
         raise ValueError("min_segment must be >= 2 (a line needs two points)")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"series value at index {i} is {y[i]}; segmentation needs finite values")
+    return y
+
+
+def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
+    """Globally optimal segmentation with exactly ``n_breaks`` breaks."""
+    y = _segmentable(values, min_segment)
     if n_breaks < 0:
         raise ValueError("n_breaks must be >= 0")
     if len(y) < (n_breaks + 1) * min_segment:
@@ -197,9 +199,7 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
     whose dynamic program would scan more than :data:`MAX_DP_CELLS` cells
     fails before it starts.
     """
-    y = np.asarray(values, dtype=float)
-    if min_segment < 2:
-        raise ValueError("min_segment must be >= 2 (a line needs two points)")
+    y = _segmentable(values, min_segment)
     if len(y) < 2 * min_segment:
         raise ValueError(
             f"series of length {len(y)} is shorter than 2*min_segment={2 * min_segment}"

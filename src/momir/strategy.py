@@ -140,7 +140,8 @@ DEGENERATE_SD_RTOL = 1e-12
 
 # Rows are scored in blocks of about this many elements, so the payoff
 # buffer stays cache-sized.  numpy reduces each row on its own, so every
-# statistic is bit-identical to a one-row-at-a-time run.
+# statistic is bit-identical to a one-row-at-a-time run.  The segmentation
+# DP and the Monte Carlo draw block by the same rule (block_rows).
 IR_BLOCK_ELEMENTS = 2**16
 
 

@@ -2,8 +2,8 @@
 
 Nothing here may call into the code paths under test: moments come from raw
 multivariate-Gaussian sampling, payoffs from an explicit double loop, the
-variance formula from literal double sums, and segmentation from exhaustive
-enumeration.
+variance formula from literal double sums, segmentation from exhaustive
+enumeration, and the square-wave IR from exact per-period payoff moments.
 """
 
 from __future__ import annotations
@@ -174,6 +174,33 @@ def full_row_dp_tables(
         argt[k] = np.argmin(cand, axis=0)
         opt[k] = cand.min(axis=0)
     return opt, argt
+
+
+def square_wave_ir_limit(
+    mu: float, amplitude: float, t_wave: float, sigma: float, ns, length: int
+) -> np.ndarray:
+    """Large-length IR of the momentum payoff on a square wave plus iid noise, per N in ``ns``.
+
+    X_t = d_t + sigma * eps_t for t = 1..length, with the drift
+    d_t = mu + A * sgn(sin(2 pi t / T)) and sgn(0) := +1: +A while t mod T is
+    at most T/2.  The window mean of X over t-N..t-1 has mean D_t and variance
+    sigma^2 / N and is independent of X_t, so the payoff has exact moments
+    E[p_t] = D_t d_t and E[p_t^2] = (D_t^2 + sigma^2/N)(d_t^2 + sigma^2).
+    Averaged over t = N+1..length, IR(N) = <D d> / sqrt(<E p^2> - <D d>^2).
+    """
+    t = np.arange(1, length + 1)
+    wave = amplitude * np.where(2.0 * np.mod(t, t_wave) <= t_wave, 1.0, -1.0)
+    # window means of the wave alone, so that A = 0 leaves D_t = mu exactly
+    cum = np.concatenate([[0.0], np.cumsum(wave)])
+    v = sigma * sigma
+    out = []
+    for n in ns:
+        window = mu + (cum[n:length] - cum[: length - n]) / n
+        now = mu + wave[n:]
+        first = float(np.mean(window * now))
+        second = float(np.mean((window * window + v / n) * (now * now + v)))
+        out.append(first / math.sqrt(second - first * first))
+    return np.array(out)
 
 
 def sample_acf(values: np.ndarray, lag: int) -> float:

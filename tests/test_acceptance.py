@@ -35,6 +35,7 @@ from oracles import (
     mean_with_se,
     payoffs_from_correlated_normals,
     spans_sse,
+    square_wave_ir_limit,
     toeplitz_covariance,
     variance_with_se,
 )
@@ -259,7 +260,8 @@ def test_dp_matches_exhaustive_search():
 # ---------------------------------------------------------------------------
 # 8. The square-wave growth model produces a statistically significant
 #    interior oscillation of the Monte Carlo IR curve over N in [1, 400];
-#    the flat-growth control does not.  Under 10 minutes.
+#    the flat-growth control does not.  Both curves match the closed-form
+#    large-length IR of the model, which at A = 0 is Case I.  Under 10 minutes.
 # ---------------------------------------------------------------------------
 
 
@@ -309,6 +311,24 @@ def test_square_wave_ir_oscillation():
         f"{elapsed:.0f}s"
     )
     report("square-wave IR oscillation", ok, detail)
+    # Both curves against the closed-form large-length IR, with a tolerance
+    # fixed in advance: four MC standard errors plus the O(sqrt(N)/L)
+    # finite-sample bias.
+    ns = curve.n
+    for name, drawn, amplitude in (("wave", curve, 0.15), ("control", control, 0.0)):
+        limit = square_wave_ir_limit(0.075, amplitude, 180, 1.5, ns, 6068)
+        ratio = np.abs(drawn.ir_mean - limit) / (4.0 * drawn.ir_se + np.sqrt(ns) / 6068)
+        worst = int(np.argmax(ratio))
+        report(f"square-wave {name} IR vs its large-length limit", bool(np.all(ratio <= 1.0)),
+               f"worst |error| / tolerance = {ratio[worst]:.3f} at N={ns[worst]}")
+
+
+def test_flat_square_wave_limit_is_case1():
+    ns = np.arange(1, 401)
+    limit = square_wave_ir_limit(0.075, 0.0, 180, 1.5, ns, 6068)
+    case1 = np.array([ir_case1(0.075, 2.25, int(n)) for n in ns])
+    rel = np.max(np.abs(limit / case1 - 1.0))
+    report("flat square-wave limit equals Case I", bool(rel <= 1e-12), f"max relative gap {rel:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -232,15 +232,21 @@ class TestSimulate:
 
 
 
-def test_cli_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("target, loads", [("momir", []), ("momir.cli", None)],
+                         ids=["momir", "momir.cli"])
+def test_cli_import_leaves_scipy_unloaded(target, loads):
     # scipy is imported only by the fits that use it, so every other command
-    # starts without paying for it
+    # starts without paying for it; the package itself loads no module
     src = str(Path(momir.__file__).resolve().parents[1])
-    code = ("import sys, momir.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = (f"import sys, {target}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(sorted(m for m in sys.modules if m.startswith('momir.')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert done.stdout.strip() == "[]"
+    scipy_modules, momir_modules = done.stdout.splitlines()
+    assert scipy_modules == "[]"
+    if loads is not None:
+        assert momir_modules == repr(loads)
 
 
 # Every option of every subcommand, in declaration order: adding or removing a

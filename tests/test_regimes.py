@@ -76,6 +76,17 @@ class TestDetectBreakpoints:
         with pytest.raises(ValueError, match="shorter than 2"):
             detect_breakpoints(np.arange(20.0), min_segment=12, max_breaks=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("segment", [
+        lambda y: detect_breakpoints(y, min_segment=12),
+        lambda y: best_segmentation(y, 2, 12),
+    ], ids=["detect_breakpoints", "best_segmentation"])
+    def test_non_finite_value_fails_naming_its_index(self, bad, segment):
+        y = np.cumsum(np.random.default_rng(50).standard_normal(100))
+        y[50] = bad
+        with pytest.raises(ValueError, match=f"index 50 is {bad}; segmentation needs finite"):
+            segment(y)
+
     def test_more_breaks_never_increase_rss(self):
         rng = np.random.default_rng(4)
         y = np.cumsum(rng.standard_normal(120))
@@ -164,21 +175,21 @@ class TestDpOptimality:
         # comes one block of end points at a time; the tables must not move,
         # whatever the block height.  Heights: 1, 7 and the default (109) do
         # not divide n + 1 = 601 (prime), 601 is one block.
-        from momir import regimes
+        from momir import regimes, strategy
 
         rng = np.random.default_rng(61)
         walk = np.cumsum(rng.standard_normal(600))
         # integer steps with long flat runs: many splits cost the same, and on
         # the flat start every admissible split costs exactly 0
         steps = np.concatenate([np.zeros(120), np.repeat(rng.integers(-3, 4, 24), 20)])
-        default = regimes.COST_BLOCK_ELEMENTS
+        default = strategy.IR_BLOCK_ELEMENTS
         for y in (walk, steps):
             z = y - y[0]
             ref_opt, ref_argt = full_row_dp_tables(z, 12, 600 // 12 - 1)
             finite = np.isfinite(ref_opt)
             assert finite.sum() > 10000
             for elements in (601, 7 * 601, default, 601 * 601):
-                monkeypatch.setattr(regimes, "COST_BLOCK_ELEMENTS", elements)
+                monkeypatch.setattr(strategy, "IR_BLOCK_ELEMENTS", elements)
                 opt, argt = regimes._dp_tables(z, 12, 600 // 12 - 1)
                 assert np.array_equal(opt, ref_opt), elements
                 assert np.array_equal(argt[finite], ref_argt[finite]), elements
@@ -194,10 +205,10 @@ class TestDpOptimality:
                                                 elements):
         # every scanned cell passes through one np.where (the segment costs)
         # or one np.argmin (a level's candidates)
-        from momir import regimes
+        from momir import regimes, strategy
 
         if elements is not None:
-            monkeypatch.setattr(regimes, "COST_BLOCK_ELEMENTS", elements)
+            monkeypatch.setattr(strategy, "IR_BLOCK_ELEMENTS", elements)
         scanned = []
 
         class CountingNumpy:
