@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .strategy import IrCurve, Z95, block_rows, ir_curve, ir_standard_error
+from .strategy import IrCurve, Z95, _finite, block_rows, ir_curve, ir_standard_error
 from .timeseries import NormalizedReturnSeries, ReturnSeries, last_per_key, write_csv
 
 __all__ = [
@@ -162,14 +162,9 @@ def _build_segmentation(n: int, breaks: Sequence[int]) -> Segmentation:
 
 def _segmentable(values, min_segment: int) -> np.ndarray:
     """``values`` as floats, failing on a minimum segment below 2 or a non-finite value."""
-    y = np.asarray(values, dtype=float)
     if min_segment < 2:
         raise ValueError("min_segment must be >= 2 (a line needs two points)")
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"series value at index {i} is {y[i]}; segmentation needs finite values")
-    return y
+    return _finite(values, "segmentation")
 
 
 def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
@@ -247,7 +242,7 @@ def acf1(values) -> float:
     from the full-sample mean (so a perfectly alternating series scores
     exactly -1) and is divided by the full-sample mean square deviation.
     """
-    x = np.asarray(values, dtype=float)
+    x = _finite(values, "a lag-1 autocorrelation")
     n = len(x)
     if n <= 2:
         raise ValueError(f"series of length {n} too short for a lag-1 autocorrelation")

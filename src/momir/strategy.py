@@ -11,6 +11,7 @@ multiplies by sqrt(PERIODS_PER_YEAR).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -66,6 +67,18 @@ def lookback_range(n_range: tuple[int, int], length: int | None = None) -> np.nd
     return np.arange(lo, hi + 1)
 
 
+def _finite(values, use: str) -> np.ndarray:
+    """``values`` as floats, failing on the first non-finite value, which ``use`` cannot take."""
+    y = np.asarray(values, dtype=float)
+    finite = np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        row, col = divmod(i, y.shape[1]) if y.ndim == 2 else (None, i)
+        where = f"index {col}" if row is None else f"index {col} of row {row}"
+        raise ValueError(f"series value at {where} is {y.flat[i]}; {use} needs finite values")
+    return y
+
+
 @dataclass(frozen=True)
 class IrCurve:
     """Per-lookback strategy statistics.
@@ -99,16 +112,27 @@ class IrCurve:
         return len(self.n)
 
 
-def _payoffs(x: np.ndarray, ns) -> Iterator[np.ndarray]:
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Prefix sums along the last axis of ``x``, with a leading 0: one more column than ``x``."""
+    prefix = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=prefix[..., 1:])
+    return prefix
+
+
+def _payoffs(x: np.ndarray, ns, prefix=None, buffer=None) -> Iterator[np.ndarray]:
     """Payoffs m_{t-1}(N) * X_t along the last axis of ``x``, for each N in turn.
 
-    Window sums are differences of one prefix sum, shared by every lookback.
-    Every yielded array is a view of one buffer, sized for the smallest N, so
-    each is valid only until the next one is drawn.
+    Window sums are differences of ``prefix``, the prefix sums of ``x``
+    (:func:`_prefix_sums`), shared by every lookback.  Every yielded array is
+    a view of ``buffer``, which holds at least the payoffs of the smallest N,
+    so each is valid only until the next one is drawn.  Either is made here
+    when not given.
     """
     lead, length = x.shape[:-1], x.shape[-1]
-    prefix = np.concatenate([np.zeros(lead + (1,)), np.cumsum(x, axis=-1)], axis=-1)
-    buffer = np.empty(math.prod(lead) * (length - min(ns)))
+    if prefix is None:
+        prefix = _prefix_sums(x)
+    if buffer is None:
+        buffer = np.empty(math.prod(lead) * (length - min(ns)))
     for n in ns:
         pays = buffer[: math.prod(lead) * (length - n)].reshape(lead + (length - n,))
         np.subtract(prefix[..., n:length], prefix[..., : length - n], out=pays)
@@ -138,11 +162,38 @@ def ir_standard_error(samples: int) -> float:
 # constant payoff in double precision; the IR is reported as undefined there.
 DEGENERATE_SD_RTOL = 1e-12
 
-# Rows are scored in blocks of about this many elements, so the payoff
+# Rows are scored in blocks of about this many elements, so each payoff
 # buffer stays cache-sized.  numpy reduces each row on its own, so every
-# statistic is bit-identical to a one-row-at-a-time run.  The segmentation
-# DP and the Monte Carlo draw block by the same rule (block_rows).
+# statistic is bit-identical to a one-row-at-a-time run.  A block with
+# fewer than WORKERS times this many payoffs is scored on the calling
+# thread.  The segmentation DP and the Monte Carlo draw block by the same
+# rule (block_rows).
 IR_BLOCK_ELEMENTS = 2**16
+
+# The IR kernel's threads: one per CPU this process may run on.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_POOL = None
+
+
+def _pool():
+    """The IR kernel's thread pool, made on first use."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(WORKERS, thread_name_prefix="momir-ir")
+    return _POOL
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads, so it makes its own pool."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def block_rows(length: int) -> int:
@@ -155,22 +206,35 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
     The sd is NaN with fewer than two payoffs; the IR is NaN where the sd is
     undefined, zero or degenerate.  The steps are numpy's own for ``np.mean``
-    and ``np.std(ddof=1)``, run in place on the payoff buffer, so every
-    statistic is bit-identical to those calls.
+    and ``np.std(ddof=1)``, run in place on a payoff buffer, so every
+    statistic is bit-identical to those calls.  Each block of rows gets one
+    prefix sum; worker k scores lookbacks ``ns[k::WORKERS]`` from it into its
+    own buffer and its own columns, so the statistics are the same bits at
+    any worker count.
     """
-    mean = np.empty((x.shape[0], len(ns)))
+    rows, length = x.shape
+    mean = np.empty((rows, len(ns)))
     sd = np.full_like(mean, np.nan)
-    step = block_rows(x.shape[1])
-    for lo in range(0, x.shape[0], step):
-        rows = slice(lo, lo + step)
-        for i, pays in enumerate(_payoffs(x[rows], ns)):
-            m = pays.shape[1]
-            mu = np.add.reduce(pays, axis=1) / m
-            mean[rows, i] = mu
-            if m >= 2:
-                pays -= mu[:, None]
-                pays *= pays
-                sd[rows, i] = np.sqrt(np.add.reduce(pays, axis=1) / (m - 1))
+    step = block_rows(length)
+    shares = [np.arange(k, len(ns), WORKERS) for k in range(min(WORKERS, len(ns)))]
+    buffers = [np.empty(min(step, rows) * (length - ns[cols].min())) for cols in shares]
+    row_payoffs = int(np.sum(length - ns))
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
+        prefix = _prefix_sums(x[block])
+
+        def score(cols, buffer):
+            for i, pays in zip(cols, _payoffs(x[block], ns[cols], prefix, buffer)):
+                m = pays.shape[1]
+                mu = np.add.reduce(pays, axis=1) / m
+                mean[block, i] = mu
+                if m >= 2:
+                    pays -= mu[:, None]
+                    pays *= pays
+                    sd[block, i] = np.sqrt(np.add.reduce(pays, axis=1) / (m - 1))
+
+        threaded = WORKERS > 1 and len(prefix) * row_payoffs >= WORKERS * IR_BLOCK_ELEMENTS
+        list((_pool().map if threaded else map)(score, shares, buffers))
     defined = (sd > 0.0) & (sd > DEGENERATE_SD_RTOL * np.abs(mean))
     with np.errstate(divide="ignore", invalid="ignore"):
         ir = np.where(defined, mean / sd, np.nan)
@@ -179,7 +243,7 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 def ir_curve(x, n_range: tuple[int, int]) -> IrCurve:
     """Backtest every lookback in [n_min, n_max] and collect IR statistics."""
-    values = np.asarray(x, dtype=float)
+    values = _finite(x, "an IR curve")
     ns = lookback_range(n_range, len(values))
     samples = len(values) - ns
     stderr = [ir_standard_error(int(s)) for s in samples]
@@ -199,7 +263,7 @@ def ir_matrix(x_matrix: np.ndarray, lookbacks) -> np.ndarray:
     array of shape (rows, len(lookbacks)) with NaN where the payoff sd
     vanishes.
     """
-    x = np.asarray(x_matrix, dtype=float)
+    x = _finite(x_matrix, "an IR matrix")
     if x.ndim != 2:
         raise ValueError("expected a 2-d matrix of series")
     return _ir_stats(x, check_lookbacks(lookbacks, x.shape[1]))[2]

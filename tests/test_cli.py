@@ -235,16 +235,19 @@ class TestSimulate:
 @pytest.mark.parametrize("target, loads", [("momir", []), ("momir.cli", None)],
                          ids=["momir", "momir.cli"])
 def test_cli_import_leaves_scipy_unloaded(target, loads):
-    # scipy is imported only by the fits that use it, so every other command
-    # starts without paying for it; the package itself loads no module
+    # scipy is imported only by the fits that use it, and concurrent.futures
+    # only by the IR kernel's first threaded block, so every other command
+    # starts without paying for them; the package itself loads no module
     src = str(Path(momir.__file__).resolve().parents[1])
     code = (f"import sys, {target}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('concurrent.futures' in sys.modules); "
             "print(sorted(m for m in sys.modules if m.startswith('momir.')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src))
-    scipy_modules, momir_modules = done.stdout.splitlines()
+    scipy_modules, futures_loaded, momir_modules = done.stdout.splitlines()
     assert scipy_modules == "[]"
+    assert futures_loaded == "False"
     if loads is not None:
         assert momir_modules == repr(loads)
 

@@ -298,6 +298,14 @@ class TestAcf:
         with pytest.raises(ValueError, match="zero-variance"):
             acf1(np.ones(50))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_fails_naming_its_index(self, bad):
+        values = np.random.default_rng(50).standard_normal(100)
+        values[50] = bad
+        with pytest.raises(ValueError,
+                           match=f"index 50 is {bad}; a lag-1 autocorrelation needs finite"):
+            acf1(values)
+
 
 class TestRegimeStats:
     def test_strong_drift_classifies_drift_driven(self):

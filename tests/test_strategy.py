@@ -1,10 +1,18 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momir import strategy
+from momir.fit import fit_square_wave
+from momir.simulate import IidGaussian, SquareWaveDrift, mc_ir_curve
 from momir.strategy import (
     DEGENERATE_SD_RTOL,
     IR_BLOCK_ELEMENTS,
@@ -147,6 +155,13 @@ class TestIrCurve:
         with pytest.raises(ValueError, match="max lookback"):
             ir_curve(np.ones(5), (1, 5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_fails_naming_its_index(self, bad):
+        x = np.random.default_rng(50).standard_normal(100)
+        x[50] = bad
+        with pytest.raises(ValueError, match=f"index 50 is {bad}; an IR curve needs finite"):
+            ir_curve(x, (1, 5))
+
     def test_long_lookbacks_match_double_loop_oracle(self):
         # prefix-sum window means under drift, far beyond the windows above
         x = 0.15 + np.random.default_rng(13).standard_normal(6000)
@@ -170,6 +185,14 @@ class TestIrMatrix:
             curve = ir_curve(x[row], (1, 50))
             want = curve.ir[np.isin(curve.n, ns)]
             assert np.allclose(got[row], want, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_fails_naming_its_index(self, bad):
+        x = np.random.default_rng(50).standard_normal((3, 100))
+        x[2, 50] = bad
+        with pytest.raises(ValueError,
+                           match=f"index 50 of row 2 is {bad}; an IR matrix needs finite"):
+            ir_matrix(x, [1, 5])
 
     @pytest.mark.parametrize("length, blocks", [(2000, 3), (IR_BLOCK_ELEMENTS + 100, 3)],
                              ids=["multi-row-blocks", "one-row-blocks"])
@@ -195,6 +218,17 @@ def direct_payoffs(x, n):
     return (prefix[..., n:] - prefix[..., :-n]) / n * x[..., n:]
 
 
+def numpy_stats(x, ns):
+    """Mean, sample sd and IR of directly formed payoffs, by np.mean and np.std(ddof=1)."""
+    pays = [direct_payoffs(x, n) for n in ns]
+    mean = np.stack([np.mean(p, axis=1) for p in pays], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sd = np.stack([np.std(p, axis=1, ddof=1) for p in pays], axis=1)
+        defined = (sd > 0.0) & (sd > DEGENERATE_SD_RTOL * np.abs(mean))
+        ir = np.where(defined, mean / sd, np.nan)
+    return mean, sd, ir
+
+
 class TestIrKernel:
     """The kernel's statistics are np.mean / np.std(ddof=1) bit for bit."""
 
@@ -210,12 +244,7 @@ class TestIrKernel:
         # one payoff (m = 1) at length - 1 and two payoffs at length - 2
         ns = np.array([1, 2, 13, length // 3, length - 2, length - 1])
         mean, sd, ir = _ir_stats(x, ns)
-        pays = [direct_payoffs(x, n) for n in ns]
-        want_mean = np.stack([np.mean(p, axis=1) for p in pays], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want_sd = np.stack([np.std(p, axis=1, ddof=1) for p in pays], axis=1)
-            defined = (want_sd > 0.0) & (want_sd > DEGENERATE_SD_RTOL * np.abs(want_mean))
-            want_ir = np.where(defined, want_mean / want_sd, np.nan)
+        want_mean, want_sd, want_ir = numpy_stats(x, ns)
         np.testing.assert_array_equal(mean, want_mean)
         np.testing.assert_array_equal(sd, want_sd)
         np.testing.assert_array_equal(ir, want_ir)
@@ -228,6 +257,121 @@ class TestIrKernel:
         x = np.random.default_rng(43).standard_normal(999) + 0.1
         for n in (1, 2, 52, 400, 998):
             np.testing.assert_array_equal(backtest(x, n), direct_payoffs(x, n))
+
+
+@pytest.fixture
+def pool_entries(monkeypatch):
+    """Each entry to the kernel's pool, on a fresh pool that is shut down afterwards."""
+    entries = []
+    make_pool = strategy._pool
+
+    def counting_pool():
+        entries.append(strategy.WORKERS)
+        return make_pool()
+
+    monkeypatch.setattr(strategy, "_POOL", None)
+    monkeypatch.setattr(strategy, "_pool", counting_pool)
+    yield entries
+    if strategy._POOL is not None:
+        strategy._POOL.shutdown()
+
+
+class TestIrKernelWorkers:
+    """Worker k scores lookbacks k, k + WORKERS, ...: the same bits at any worker count."""
+
+    # 7 rows in blocks of 3 (a ragged last block of one row) and 11 lookbacks;
+    # or one-row blocks and 2 lookbacks, fewer than 3 or 5 workers.  Both
+    # include one payoff (m = 1) at N = 300 and a zero row and a constant row.
+    @pytest.mark.parametrize("block_elements, ns", [
+        (3 * 301, [1, 2, 3, 5, 8, 13, 21, 34, 50, 299, 300]),
+        (32, [2, 300]),
+    ], ids=["ragged-last-block", "fewer-lookbacks-than-workers"])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.filterwarnings("ignore:Degrees of freedom")
+    def test_bit_identical_to_one_worker_and_numpy(self, monkeypatch, pool_entries,
+                                                   block_elements, ns, workers):
+        monkeypatch.setattr(strategy, "IR_BLOCK_ELEMENTS", block_elements)
+        x = np.random.default_rng(71).standard_normal((7, 301)) + 0.03
+        x[2] = 0.0
+        x[3] = 0.5
+        ns = np.array(ns)
+        monkeypatch.setattr(strategy, "WORKERS", 1)
+        one = _ir_stats(x, ns)
+        assert not pool_entries
+        monkeypatch.setattr(strategy, "WORKERS", workers)
+        # switch threads as often as the interpreter allows, so that two
+        # workers writing the same cell or buffer would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _ir_stats(x, ns)
+        finally:
+            sys.setswitchinterval(interval)
+        assert bool(pool_entries) == (workers > 1)
+        for have, ref, want in zip(got, one, numpy_stats(x, ns)):
+            np.testing.assert_array_equal(have, ref)
+            np.testing.assert_array_equal(have, want)
+        assert np.isnan(got[2][2:4]).all() and np.isnan(got[1][:, -1]).all()
+
+    def test_monte_carlo_curve_and_square_wave_fits_match_one_worker(self, monkeypatch,
+                                                                     pool_entries):
+        spec = SquareWaveDrift(0.075, 0.15, 180, IidGaussian(0.0, 1.5))
+
+        def run():
+            mc = mc_ir_curve(spec, (1, 43), paths=25, length=2000, seed=3)
+            curve = IrCurve(n=mc.n, mean=np.zeros(43), sd=np.ones(43), ir=mc.ir_mean,
+                            stderr=np.full(43, 0.1), samples=2000 - mc.n)
+            fits = [fit_square_wave(curve, mu_fixed=0.075, sigma_fixed=1.5, noise_kind=kind,
+                                    t_range=(180, 180, 10), paths=20, length=2000, seed=5)
+                    for kind in ("iid", "ma_targets")]
+            return mc, fits
+
+        monkeypatch.setattr(strategy, "WORKERS", 1)
+        mc_one, fits_one = run()
+        assert not pool_entries
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+        mc_two, fits_two = run()
+        assert pool_entries
+        np.testing.assert_array_equal(mc_two.ir_mean, mc_one.ir_mean)
+        np.testing.assert_array_equal(mc_two.ir_se, mc_one.ir_se)
+        for two, one in zip(fits_two, fits_one):
+            assert (two.parameters, two.rss, two.iterations) == (one.parameters, one.rss,
+                                                                 one.iterations)
+            np.testing.assert_array_equal(two.fitted_ir, one.fitted_ir)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_scores_on_its_own_pool(self, monkeypatch, pool_entries):
+        # the child inherits the parent's pool object but none of its threads
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+        x = np.random.default_rng(73).standard_normal((20, 2000))
+        ns = np.arange(1, 44)
+        want = ir_matrix(x, ns)
+        assert pool_entries
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if np.array_equal(ir_matrix(x, ns), want, equal_nan=True) else 3)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish scoring within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_one_worker_and_regime_curves_start_no_thread(self, monkeypatch, pool_entries):
+        rng = np.random.default_rng(72)
+        threads = threading.active_count()
+        monkeypatch.setattr(strategy, "WORKERS", 1)
+        ir_matrix(rng.standard_normal((20, 2000)), np.arange(1, 44))
+        # ten years of weekly returns at the regimes command's default N 1..43
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+        ir_curve(rng.standard_normal(520), (1, 43))
+        assert not pool_entries and strategy._POOL is None
+        assert threading.active_count() == threads
 
 
 class TestAnnualize:
