@@ -114,7 +114,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.frequency == "daily":
         prices = timeseries.resample_to_weekly(prices)
     returns = timeseries.log_returns(prices)
-    timeseries.write_series_csv(args.output, returns.dates, returns.returns)
+    timeseries.write_series_csv(args.output, returns.dates, returns.values)
     print(f"{n_in} prices -> {len(prices)} weekly prices -> {len(returns)} returns")
     return 0
 
@@ -160,7 +160,7 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
                 segment.start, segment.end, end - start,
             )
             continue
-        piece = timeseries.NormalizedReturnSeries(x.dates[start:end], x.values[start:end])
+        piece = timeseries.DatedSeries(x.dates[start:end], x.values[start:end])
         stats.append(regimes_mod.regime_stats(piece, (args.n_min, args.n_max), args.threshold_n))
     if not stats:
         raise ValueError("no regime of the requested minimum length survived")

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .strategy import IrCurve, Z95, _finite, block_rows, ir_curve, ir_standard_error
-from .timeseries import NormalizedReturnSeries, ReturnSeries, last_per_key, write_csv
+from .timeseries import DatedSeries, last_per_key, write_csv
 
 __all__ = [
     "Segment",
@@ -95,8 +95,7 @@ def _dp_tables(y: np.ndarray, min_segment: int, max_breaks: int) -> tuple[np.nda
     :func:`momir.strategy.block_rows` (n + 1).  Level k scans only the starts
     i >= k * min_segment that can hold a split, adding opt[k - 1, i] into one
     reused candidate buffer and taking the first minimum along i.  Callers
-    pass the series shifted to start at zero, which keeps the prefix sums
-    small and makes the costs independent of the level.  A series whose scan
+    pass the series as :func:`_segmentable` makes it.  A series whose scan
     would exceed :data:`MAX_DP_CELLS` fails before anything is allocated.
     """
     n = len(y)
@@ -161,10 +160,22 @@ def _build_segmentation(n: int, breaks: Sequence[int]) -> Segmentation:
 
 
 def _segmentable(values, min_segment: int) -> np.ndarray:
-    """``values`` as floats, failing on a minimum segment below 2 or a non-finite value."""
+    """``values`` as the dynamic program takes them: v - v[0] times the power of
+    two that puts its largest magnitude in [0.5, 1).
+
+    The shift makes the costs independent of the level; the scaling is exact
+    away from underflow and commutes with every step, so no square overflows
+    or underflows and the breaks do not depend on the scale.  Fails on a
+    minimum segment below 2 or a non-finite value or v - v[0].
+    """
     if min_segment < 2:
         raise ValueError("min_segment must be >= 2 (a line needs two points)")
-    return _finite(values, "segmentation")
+    v = _finite(values, "segmentation")
+    with np.errstate(over="ignore"):
+        z = v - v[0]
+    if not np.all(np.isfinite(z)):
+        raise ValueError("segmentation: the series minus its first value is not finite")
+    return np.ldexp(z, -np.frexp(np.max(np.abs(z)))[1])
 
 
 def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
@@ -176,7 +187,7 @@ def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
         raise ValueError(
             f"series of length {len(y)} cannot hold {n_breaks + 1} segments of >= {min_segment}"
         )
-    opt, argt = _dp_tables(y - y[0], min_segment, n_breaks)
+    opt, argt = _dp_tables(y, min_segment, n_breaks)
     if not np.isfinite(opt[n_breaks, len(y)]):
         raise ValueError(f"no admissible placement of {n_breaks} breaks")
     return _build_segmentation(len(y), _backtrack(argt, n_breaks, len(y)))
@@ -189,8 +200,9 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
     minimum segment length allows) the dynamic program finds the global
     least-squares placement; BIC(k) = n*ln(sse/n) + (3k+2)*ln(n) picks k, with
     ties going to fewer breaks.  Each candidate's SSE is the dynamic program's
-    own optimal cost, floored at 1e-12 * sum(z^2) with z = y - y[0], so that
-    noiseless data selects the minimal break count at any scale.  A series
+    own optimal cost, floored at 1e-12 * sum(y^2) with y the series as the
+    dynamic program takes it, so that noiseless data selects the minimal break
+    count; neither y nor the breaks move under a positive rescaling.  A series
     whose dynamic program would scan more than :data:`MAX_DP_CELLS` cells
     fails before it starts.
     """
@@ -206,17 +218,14 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
         raise ValueError("max_breaks must be >= 1")
     max_breaks = min(max_breaks, feasible_max)
 
-    # Everything that chooses the breaks sees the series shifted to start at
-    # zero, so adding a constant that keeps the values exact cannot move them.
-    z = y - y[0]
-    opt, argt = _dp_tables(z, min_segment, max_breaks)
+    opt, argt = _dp_tables(y, min_segment, max_breaks)
     n = len(y)
     ks = np.flatnonzero(np.isfinite(opt[:, n]))
     if not ks.size:
         raise ValueError("no admissible segmentation found")
     # The prefix-sum costs carry round-off relative to the series' own size;
     # an SSE below this floor is noise, so noiseless data keeps the fewest breaks.
-    floor = max(1e-12 * float(z @ z), np.finfo(float).tiny)
+    floor = max(1e-12 * float(y @ y), np.finfo(float).tiny)
     bic = n * np.log(np.maximum(opt[ks, n], floor) / n) + (3 * ks + 2) * math.log(n)
     best_k = int(ks[np.argmin(bic)])
     return _build_segmentation(n, _backtrack(argt, best_k, n))
@@ -277,7 +286,7 @@ class RegimeStats:
 
 
 def regime_stats(
-    x: NormalizedReturnSeries, n_range: tuple[int, int], threshold_n: int = 20
+    x: DatedSeries, n_range: tuple[int, int], threshold_n: int = 20
 ) -> RegimeStats:
     """IR curve, lag-1 autocorrelation, and case classification for one dated regime.
 
@@ -345,14 +354,14 @@ def average_ir_curve(curves: Sequence[IrCurve]) -> IrCurve:
 
 
 def weekly_segmentation(
-    returns: ReturnSeries,
+    returns: DatedSeries,
     min_segment_months: int = 12,
     max_breaks: int | None = None,
 ) -> Segmentation:
     """Detect drift regimes on the monthly-sampled cumulative log series and
     express them as weekly index spans: a monthly break at b becomes the week
     after the last week of month b - 1."""
-    cumlog = np.cumsum(returns.returns)
+    cumlog = np.cumsum(returns.values)
     month_idx = last_per_key(returns.dates, lambda d: (d.year, d.month))
     if len(month_idx) < 2 * min_segment_months:
         raise ValueError(

@@ -1,6 +1,6 @@
 """Price ingestion, log returns, weekly resampling, and volatility normalization.
 
-Everything here is a pure function over immutable series objects.  The
+Everything here is a pure function over immutable :class:`DatedSeries`.  The
 normalization divides each return by the trailing mean absolute return over a
 window of ``p`` periods, which stabilizes variance without look-ahead: the
 value emitted at time t depends only on returns up to and including t.
@@ -19,9 +19,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "PriceSeries",
-    "ReturnSeries",
-    "NormalizedReturnSeries",
+    "DatedSeries",
     "log_returns",
     "last_per_key",
     "resample_to_weekly",
@@ -34,69 +32,22 @@ __all__ = [
 ]
 
 
-def _check_dates(dates: Sequence[dt.date], what: str) -> None:
+def _check_dates(dates: Sequence[dt.date]) -> None:
     for i in range(1, len(dates)):
         if dates[i] <= dates[i - 1]:
             raise ValueError(
-                f"{what}: timestamps must be strictly increasing; "
+                f"dated series: timestamps must be strictly increasing; "
                 f"entry {i} ({dates[i]}) does not follow {dates[i - 1]}"
             )
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """Dated positive prices.
+class DatedSeries:
+    """One finite value per date: prices, log returns or normalized returns.
 
-    Invariants (checked on construction): strictly increasing dates, all
-    prices strictly positive, at least two observations.
+    Invariants (checked on construction): as many values as dates, strictly
+    increasing dates, every value finite; a failure names the index and date.
     """
-
-    dates: tuple[dt.date, ...]
-    prices: np.ndarray
-
-    def __post_init__(self) -> None:
-        prices = np.asarray(self.prices, dtype=float)
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        if len(self.dates) != len(prices):
-            raise ValueError("price series: dates and prices differ in length")
-        if len(prices) < 2:
-            raise ValueError("price series: need at least 2 observations")
-        _check_dates(self.dates, "price series")
-        bad = np.flatnonzero(~(prices > 0) | ~np.isfinite(prices))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"price series: non-positive or non-finite price {float(prices[i])} "
-                f"at index {i} ({self.dates[i]})"
-            )
-
-    def __len__(self) -> int:
-        return len(self.prices)
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Dated log returns; one value per period, dated at the period end."""
-
-    dates: tuple[dt.date, ...]
-    returns: np.ndarray
-
-    def __post_init__(self) -> None:
-        returns = np.asarray(self.returns, dtype=float)
-        object.__setattr__(self, "returns", returns)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        if len(self.dates) != len(returns):
-            raise ValueError("return series: dates and returns differ in length")
-        _check_dates(self.dates, "return series")
-
-    def __len__(self) -> int:
-        return len(self.returns)
-
-
-@dataclass(frozen=True)
-class NormalizedReturnSeries:
-    """Returns divided by their trailing mean absolute return (see :func:`normalize`)."""
 
     dates: tuple[dt.date, ...]
     values: np.ndarray
@@ -106,25 +57,43 @@ class NormalizedReturnSeries:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dates", tuple(self.dates))
         if len(self.dates) != len(values):
-            raise ValueError("normalized series: dates and values differ in length")
-        _check_dates(self.dates, "normalized series")
-        if values.size and not np.all(np.isfinite(values)):
-            i = int(np.flatnonzero(~np.isfinite(values))[0])
+            i = min(len(self.dates), len(values))
+            date = f" ({self.dates[i]})" if i < len(self.dates) else ""
+            raise ValueError(f"dated series: {len(self.dates)} dates but {len(values)} values; "
+                             f"index {i}{date} has no partner")
+        _check_dates(self.dates)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
             raise ValueError(
-                f"normalized series: non-finite value at index {i} ({self.dates[i]})"
+                f"dated series: non-finite value {float(values[i])} at index {i} ({self.dates[i]})"
             )
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def log_returns(prices: PriceSeries) -> ReturnSeries:
-    """Log returns ln(S[i+1]/S[i]), dated at the later observation.
+def _check_prices(prices: DatedSeries) -> DatedSeries:
+    """``prices`` if it holds at least two prices and every one is positive."""
+    if len(prices) < 2:
+        raise ValueError("price series: need at least 2 observations")
+    bad = np.flatnonzero(~(prices.values > 0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"price series: non-positive price {float(prices.values[i])} "
+            f"at index {i} ({prices.dates[i]})"
+        )
+    return prices
+
+
+def log_returns(prices: DatedSeries) -> DatedSeries:
+    """Log returns ln(S[i+1]/S[i]) of at least two positive prices, dated at the later one.
 
     The output has one fewer entry than the input.
     """
-    r = np.diff(np.log(prices.prices))
-    return ReturnSeries(dates=prices.dates[1:], returns=r)
+    r = np.diff(np.log(_check_prices(prices).values))
+    return DatedSeries(dates=prices.dates[1:], values=r)
 
 
 def last_per_key(dates: Sequence[dt.date], key: Callable[[dt.date], Hashable]) -> np.ndarray:
@@ -135,17 +104,17 @@ def last_per_key(dates: Sequence[dt.date], key: Callable[[dt.date], Hashable]) -
     )
 
 
-def resample_to_weekly(prices: PriceSeries) -> PriceSeries:
+def resample_to_weekly(prices: DatedSeries) -> DatedSeries:
     """Keep the last available observation of each ISO week (Monday-start).
 
     A week is keyed by the ordinal of its Monday.  Weeks with no observations
     are skipped.
     """
     idx = last_per_key(prices.dates, lambda d: d.toordinal() - d.weekday())
-    return PriceSeries(dates=tuple(prices.dates[i] for i in idx), prices=prices.prices[idx])
+    return DatedSeries(dates=tuple(prices.dates[i] for i in idx), values=prices.values[idx])
 
 
-def normalize(returns: ReturnSeries, p: int) -> NormalizedReturnSeries:
+def normalize(returns: DatedSeries, p: int) -> DatedSeries:
     """Divide each return by the mean absolute return of the previous ``p`` periods.
 
     X[t] = r[t] / ((1/p) * sum_{i=1..p} |r[t-i]|).  The first emitted value
@@ -156,7 +125,7 @@ def normalize(returns: ReturnSeries, p: int) -> NormalizedReturnSeries:
     """
     if p < 1:
         raise ValueError("normalization window p must be >= 1")
-    r = returns.returns
+    r = returns.values
     if len(r) <= p:
         raise ValueError(
             f"normalization needs more than p={p} returns, got {len(r)}"
@@ -171,11 +140,11 @@ def normalize(returns: ReturnSeries, p: int) -> NormalizedReturnSeries:
             f"zero trailing mean absolute return at {returns.dates[t]} "
             f"(index {t}): window of flat prices"
         )
-    return NormalizedReturnSeries(dates=returns.dates[p:], values=r[p:] / trailing)
+    return DatedSeries(dates=returns.dates[p:], values=r[p:] / trailing)
 
 
 # ---------------------------------------------------------------------------
-# CSV interfaces.  Prices arrive as `date,price`; every series type is emitted
+# CSV interfaces.  Prices arrive as `date,price`; every series is emitted
 # as `date,value` with 15-significant-digit decimals.  Dates are ISO-8601.
 # ---------------------------------------------------------------------------
 
@@ -224,20 +193,20 @@ def finite_number(text: str) -> float:
     return value
 
 
-def read_price_csv(path: str) -> PriceSeries:
-    """Load a `date,price` CSV into a PriceSeries."""
+def read_price_csv(path: str) -> DatedSeries:
+    """Load a `date,price` CSV of at least two prices, all positive."""
     dates, prices = read_csv(path, ["date", "price"], [_iso_date, finite_number])
-    return PriceSeries(dates=dates, prices=np.array(prices))
+    return _check_prices(DatedSeries(dates=dates, values=np.array(prices)))
 
 
-def read_value_csv(path: str) -> ReturnSeries:
-    """Load a weekly `date,value` CSV into a ReturnSeries.
+def read_value_csv(path: str) -> DatedSeries:
+    """Load a weekly `date,value` CSV.
 
     The median gap between consecutive dates must be 5 to 9 days: market
     closures pass, daily or monthly returns fail naming the gap.
     """
     dates, values = read_csv(path, ["date", "value"], [_iso_date, finite_number])
-    series = ReturnSeries(dates=dates, returns=np.array(values))
+    series = DatedSeries(dates=dates, values=np.array(values))
     gaps = [(b - a).days for a, b in zip(dates, dates[1:])]
     if gaps and not 5 <= np.median(gaps) <= 9:
         raise ValueError(f"{path}: median gap of {np.median(gaps):g} days between dates; "

@@ -85,6 +85,17 @@ class TestIngest:
         assert "-1.0" in err and "np.float64" not in err
         assert not out.exists()
 
+    def test_mid_week_non_positive_price_fails_at_read(self, tmp_path, capsys):
+        # weekly resampling would drop the Tuesday row; every input cell is still checked
+        src = tmp_path / "p.csv"
+        prices = np.linspace(100, 110, 10)
+        prices[1] = -5.0
+        write_prices(src, daily_dates(dt.date(2000, 1, 3), 10), prices)
+        out = tmp_path / "r.csv"
+        assert main(["ingest", "--input", str(src), "--output", str(out)]) == 1
+        assert "price -5.0 at index 1 (2000-01-04)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_row_exits_nonzero_with_line(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
         src.write_text("date,price\n2000-01-07,100\n2000-01-14\n")
@@ -150,6 +161,26 @@ class TestRegimes:
         assert all(w >= 70 for w in weeks)
         avg = read_ir_curve_csv(str(curve_out))
         assert len(avg) == 43
+
+    @pytest.mark.parametrize("power", [900, -900])
+    def test_rescaled_returns_write_the_unscaled_outputs(self, tmp_path, power):
+        # times 2^power every value stays exact and normal, so every output
+        # must match the unscaled run's byte for byte
+        rng = np.random.default_rng(5)
+        n = 30 * 52
+        values = np.where(np.arange(n) < n // 2, 0.02, -0.015) + 0.02 * rng.standard_normal(n)
+        dates = weekly_dates(dt.date(1970, 1, 2), n)
+        outputs = []
+        for scale in (1.0, 2.0**power):
+            src = tmp_path / "returns.csv"
+            src.write_text("date,value\n" + "".join(
+                f"{d},{v!r}\n" for d, v in zip(dates, (scale * values).tolist())))
+            report, curve = tmp_path / "regimes.csv", tmp_path / "avg.csv"
+            assert main(["regimes", "--input", str(src), "--output", str(report),
+                         "--output-curve", str(curve), "--n-max", "43"]) == 0
+            outputs.append((report.read_bytes(), curve.read_bytes()))
+        assert len(outputs[0][0].splitlines()) >= 3
+        assert outputs[1] == outputs[0]
 
     def test_too_short_for_segmentation(self, tmp_path, capsys):
         src = tmp_path / "short.csv"

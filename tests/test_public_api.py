@@ -47,9 +47,8 @@ MODULE_ALL = {
         "theoretical_ir", "theory_curve", "write_theory_curve_csv",
     ],
     "timeseries": [
-        "NormalizedReturnSeries", "PriceSeries", "ReturnSeries", "last_per_key", "log_returns",
-        "normalize", "read_csv", "read_price_csv", "read_value_csv", "resample_to_weekly",
-        "write_csv", "write_series_csv",
+        "DatedSeries", "last_per_key", "log_returns", "normalize", "read_csv", "read_price_csv",
+        "read_value_csv", "resample_to_weekly", "write_csv", "write_series_csv",
     ],
 }
 

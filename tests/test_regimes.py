@@ -21,7 +21,7 @@ from momir.regimes import (
     write_regime_report_csv,
 )
 from momir.strategy import Z95, IrCurve, ir_curve
-from momir.timeseries import NormalizedReturnSeries, ReturnSeries, last_per_key
+from momir.timeseries import DatedSeries, last_per_key
 
 from oracles import brute_force_breaks, full_row_dp_tables, sample_acf, segment_sse, spans_sse
 
@@ -30,7 +30,7 @@ def dated(values):
     """A weekly dated regime from 2001-01-05 holding ``values``."""
     start = dt.date(2001, 1, 5)
     dates = tuple(start + dt.timedelta(days=7 * i) for i in range(len(values)))
-    return NormalizedReturnSeries(dates, np.asarray(values, dtype=float))
+    return DatedSeries(dates, np.asarray(values, dtype=float))
 
 
 def two_piece(n_left=30, n_right=30, slope=1.0):
@@ -85,6 +85,16 @@ class TestDetectBreakpoints:
         y = np.cumsum(np.random.default_rng(50).standard_normal(100))
         y[50] = bad
         with pytest.raises(ValueError, match=f"index 50 is {bad}; segmentation needs finite"):
+            segment(y)
+
+    @pytest.mark.parametrize("segment", [
+        lambda y: detect_breakpoints(y, min_segment=12),
+        lambda y: best_segmentation(y, 2, 12),
+    ], ids=["detect_breakpoints", "best_segmentation"])
+    def test_overflowing_shift_fails_naming_it(self, segment):
+        y = np.cumsum(np.random.default_rng(50).standard_normal(100))
+        y[0], y[60] = -1e308, 1e308
+        with pytest.raises(ValueError, match="minus its first value is not finite"):
             segment(y)
 
     def test_more_breaks_never_increase_rss(self):
@@ -143,6 +153,25 @@ class TestShiftInvariance:
     def test_large_level_keeps_breaks(self, seed):
         y = np.cumsum(np.random.default_rng(seed).normal(0.01, 1, 300))
         assert detect_breakpoints(y + 1e7).breakpoints == detect_breakpoints(y).breakpoints
+
+
+class TestScaleInvariance:
+    # A positive rescaling cannot move the least-squares breaks; these scales
+    # run from underflow to overflow of the series' squares.
+    SCALES = [10.0**e for e in range(-300, 301, 25)] + [2.0**j for j in range(-1000, 1001, 50)]
+    WALK = np.cumsum(np.random.default_rng(4).normal(0.01, 1, 600))
+
+    def test_detect_breakpoints_keeps_breaks_at_every_scale(self):
+        want = detect_breakpoints(self.WALK).breakpoints
+        assert len(want) == 27
+        moved = [s for s in self.SCALES if detect_breakpoints(s * self.WALK).breakpoints != want]
+        assert not moved
+
+    def test_best_segmentation_keeps_breaks_at_every_scale(self):
+        want = best_segmentation(self.WALK, 27, 12).breakpoints
+        moved = [s for s in self.SCALES
+                 if best_segmentation(s * self.WALK, 27, 12).breakpoints != want]
+        assert not moved
 
 
 def test_segmentation_memory_is_not_quadratic():
@@ -328,7 +357,7 @@ class TestRegimeStats:
     def test_series_object_provides_span(self):
         start = dt.date(2001, 1, 5)
         dates = tuple(start + dt.timedelta(days=7 * i) for i in range(120))
-        series = NormalizedReturnSeries(dates, np.random.default_rng(10).standard_normal(120) + 0.5)
+        series = DatedSeries(dates, np.random.default_rng(10).standard_normal(120) + 0.5)
         stats = regime_stats(series, (1, 20))
         assert stats.start == dates[0]
         assert stats.end == dates[-1]
@@ -413,7 +442,7 @@ class TestWeeklyPipeline:
         values = drift + noise_sd * rng.standard_normal(n)
         start = dt.date(1990, 1, 5)
         dates = tuple(start + dt.timedelta(days=7 * i) for i in range(n))
-        return ReturnSeries(dates, values)
+        return DatedSeries(dates, values)
 
     def test_weekly_segmentation_maps_monthly_break_to_week(self):
         returns = self.make_returns(noise_sd=0.0)
@@ -423,7 +452,7 @@ class TestWeeklyPipeline:
         # monthly sampling places the break within a few weeks of the flip
         assert abs(seg.breakpoints[0] - n // 2) <= 5
         # each weekly span's least-squares drift of the cumulative log series
-        cumlog = np.cumsum(returns.returns)
+        cumlog = np.cumsum(returns.values)
         slopes = [np.polyfit(np.arange(len(s)), cumlog[s.start:s.end], 1)[0] for s in seg.segments]
         assert slopes[0] == pytest.approx(0.004, abs=1e-4)
         assert slopes[1] == pytest.approx(-0.004, abs=1e-4)
@@ -441,7 +470,7 @@ def test_regime_report_format(tmp_path):
     rng = np.random.default_rng(17)
     start = dt.date(2001, 1, 5)
     dates = tuple(start + dt.timedelta(days=7 * i) for i in range(120))
-    series = NormalizedReturnSeries(dates, rng.standard_normal(120) + 0.4)
+    series = DatedSeries(dates, rng.standard_normal(120) + 0.4)
     stats = regime_stats(series, (1, 20))
     write_regime_report_csv(str(tmp_path / "regimes.csv"), [stats])
     lines = (tmp_path / "regimes.csv").read_text().strip().splitlines()

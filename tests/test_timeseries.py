@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momir.timeseries import (
-    PriceSeries,
-    ReturnSeries,
+    DatedSeries,
     log_returns,
     normalize,
     read_csv,
@@ -25,40 +24,57 @@ def dates_from(start: dt.date, count: int, step_days: int = 7) -> tuple[dt.date,
 
 
 def price_series(values, start=dt.date(2000, 1, 3), step_days=1):
-    return PriceSeries(dates_from(start, len(values), step_days), np.asarray(values, float))
+    return DatedSeries(dates_from(start, len(values), step_days), np.asarray(values, float))
 
 
 def weekly_returns(values, start=dt.date(2000, 1, 7)):
-    return ReturnSeries(dates_from(start, len(values)), np.asarray(values, float))
+    return DatedSeries(dates_from(start, len(values)), np.asarray(values, float))
+
+
+class TestDatedSeries:
+    def test_rejects_length_mismatch_naming_index_and_date(self):
+        with pytest.raises(ValueError, match=r"3 dates but 2 values; index 2 \(2000-01-05\)"):
+            DatedSeries(dates_from(dt.date(2000, 1, 3), 3, 1), np.array([1.0, 2.0]))
+
+    def test_rejects_unordered_dates_naming_index_and_date(self):
+        dates = (dt.date(2000, 1, 3), dt.date(2000, 1, 5), dt.date(2000, 1, 4))
+        with pytest.raises(ValueError, match=r"strictly increasing; entry 2 \(2000-01-04\)"):
+            DatedSeries(dates, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_value_naming_index_and_date(self, bad):
+        with pytest.raises(ValueError, match=rf"non-finite value {bad} at index 1 \(2000-01-04\)"):
+            DatedSeries(dates_from(dt.date(2000, 1, 3), 3, 1), np.array([1.0, bad, 3.0]))
 
 
 class TestPriceSeries:
+    # construction takes any finite values; the price rules hold where a log needs them
     def test_rejects_non_positive_price_naming_index_and_date(self):
         with pytest.raises(ValueError, match=r"index 2.*2000-01-05"):
-            price_series([100.0, 101.0, -5.0, 102.0])
+            log_returns(price_series([100.0, 101.0, -5.0, 102.0]))
 
     def test_rejects_unordered_dates(self):
         dates = (dt.date(2000, 1, 3), dt.date(2000, 1, 3))
         with pytest.raises(ValueError, match="strictly increasing"):
-            PriceSeries(dates, np.array([1.0, 2.0]))
+            log_returns(DatedSeries(dates, np.array([1.0, 2.0])))
 
     def test_rejects_single_observation(self):
         with pytest.raises(ValueError, match="at least 2"):
-            PriceSeries((dt.date(2000, 1, 3),), np.array([1.0]))
+            log_returns(DatedSeries((dt.date(2000, 1, 3),), np.array([1.0])))
 
 
 class TestLogReturns:
     def test_constant_prices_give_zero_returns(self):
         r = log_returns(price_series([100.0, 100.0, 100.0]))
-        assert np.array_equal(r.returns, [0.0, 0.0])
+        assert np.array_equal(r.values, [0.0, 0.0])
 
     def test_single_step_e(self):
         r = log_returns(price_series([1.0, math.e]))
-        assert r.returns[0] == pytest.approx(1.0, abs=1e-15)
+        assert r.values[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_direct_evaluation(self):
         r = log_returns(price_series([100.0, 110.0, 99.0]))
-        assert r.returns == pytest.approx([math.log(1.1), math.log(0.9)], abs=1e-15)
+        assert r.values == pytest.approx([math.log(1.1), math.log(0.9)], abs=1e-15)
 
     def test_dates_drop_first(self):
         p = price_series([1.0, 2.0, 3.0])
@@ -73,7 +89,7 @@ class TestLogReturns:
         prices = p0 * np.cumprod(factors)
         series = price_series(prices)
         r = log_returns(series)
-        rebuilt = prices[0] * np.exp(np.cumsum(r.returns))
+        rebuilt = prices[0] * np.exp(np.cumsum(r.values))
         assert np.allclose(rebuilt, prices[1:], rtol=1e-12, atol=0.0)
 
 
@@ -81,19 +97,19 @@ class TestResampleToWeekly:
     def test_two_full_weeks_keep_fridays(self):
         # Mon 2000-01-03 .. Fri 2000-01-14, business days only
         days = [dt.date(2000, 1, d) for d in (3, 4, 5, 6, 7, 10, 11, 12, 13, 14)]
-        series = PriceSeries(tuple(days), np.arange(1.0, 11.0))
+        series = DatedSeries(tuple(days), np.arange(1.0, 11.0))
         weekly = resample_to_weekly(series)
         assert weekly.dates == (dt.date(2000, 1, 7), dt.date(2000, 1, 14))
-        assert np.array_equal(weekly.prices, [5.0, 10.0])
+        assert np.array_equal(weekly.values, [5.0, 10.0])
 
     def test_friday_holiday_falls_back_to_thursday(self):
         days = [dt.date(2000, 1, d) for d in (3, 4, 5, 6, 10, 11, 12, 13, 14)]
-        weekly = resample_to_weekly(PriceSeries(tuple(days), np.arange(1.0, 10.0)))
+        weekly = resample_to_weekly(DatedSeries(tuple(days), np.arange(1.0, 10.0)))
         assert weekly.dates[0] == dt.date(2000, 1, 6)
 
     def test_three_weeks_give_three_points(self):
         days = [dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(21)]
-        weekly = resample_to_weekly(PriceSeries(tuple(days), np.linspace(10, 12, 21)))
+        weekly = resample_to_weekly(DatedSeries(tuple(days), np.linspace(10, 12, 21)))
         assert len(weekly) == 3
 
     @pytest.mark.parametrize("year", [2004, 2015, 2020])
@@ -113,9 +129,9 @@ class TestResampleToWeekly:
     def assert_iso_rule(days):
         kept = [i for i in range(len(days))
                 if i + 1 == len(days) or days[i + 1].isocalendar()[:2] != days[i].isocalendar()[:2]]
-        weekly = resample_to_weekly(PriceSeries(tuple(days), np.arange(1.0, len(days) + 1)))
+        weekly = resample_to_weekly(DatedSeries(tuple(days), np.arange(1.0, len(days) + 1)))
         assert weekly.dates == tuple(days[i] for i in kept)
-        assert np.array_equal(weekly.prices, np.asarray(kept) + 1.0)
+        assert np.array_equal(weekly.values, np.asarray(kept) + 1.0)
 
 
 class TestNormalize:
@@ -173,7 +189,7 @@ class TestCsv:
         path.write_text("date,price\n2000-01-03,100\n2000-01-04,101.5\n")
         series = read_price_csv(str(path))
         assert series.dates[1] == dt.date(2000, 1, 4)
-        assert np.array_equal(series.prices, [100.0, 101.5])
+        assert np.array_equal(series.values, [100.0, 101.5])
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "prices.csv"
@@ -193,7 +209,7 @@ class TestCsv:
         write_series_csv(str(path), dates, [0.1, -0.25, 1.0 / 3.0])
         series = read_value_csv(str(path))
         assert series.dates == dates
-        assert series.returns == pytest.approx([0.1, -0.25, 1.0 / 3.0], abs=1e-15)
+        assert series.values == pytest.approx([0.1, -0.25, 1.0 / 3.0], abs=1e-15)
         assert path.read_text().splitlines()[0] == "date,value"
 
     def test_value_csv_tolerates_a_skipped_week(self, tmp_path):
