@@ -140,24 +140,26 @@ def _cmd_ir(args: argparse.Namespace) -> int:
 def _cmd_regimes(args: argparse.Namespace) -> int:
     returns = timeseries.read_value_csv(args.input)
     x = timeseries.normalize(returns, args.p)
-    seg = regimes_mod.weekly_segmentation(
+    breaks = regimes_mod.weekly_segmentation(
         returns, min_segment_months=args.min_segment_months, max_breaks=args.max_breaks
     )
-    kept = regimes_mod.filter_regimes(seg, args.min_weeks)
+    # Shorter spans are dropped, not merged into their neighbours.
+    bounds = (0, *breaks, len(returns))
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= args.min_weeks]
     log.info(
         "%d breakpoints -> %d segments, %d of length >= %d weeks",
-        len(seg.breakpoints), len(seg.segments), len(kept.segments), args.min_weeks,
+        len(breaks), len(breaks) + 1, len(spans), args.min_weeks,
     )
     stats = []
-    for segment in kept.segments:
+    for a, b in spans:
         # Regime spans are indices into the return series; the normalized
         # series starts p returns later.
-        start = max(segment.start - args.p, 0)
-        end = segment.end - args.p
+        start = max(a - args.p, 0)
+        end = b - args.p
         if end - start <= args.n_max:
             log.warning(
                 "skipping regime at returns [%d, %d): only %d normalized samples",
-                segment.start, segment.end, end - start,
+                a, b, end - start,
             )
             continue
         piece = timeseries.DatedSeries(x.dates[start:end], x.values[start:end])
@@ -241,7 +243,7 @@ _COMMANDS = {
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    """Fail before any read, draw or solve on a non-finite fit value or a negative seed."""
+    """Fail before any read, draw or solve on a bad fit value, seed or ``--min-weeks``."""
     for name in ("fixed_sd", "mu_fixed", "sigma_fixed"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
@@ -249,6 +251,9 @@ def _check_options(args: argparse.Namespace) -> None:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
+    min_weeks = getattr(args, "min_weeks", None)
+    if min_weeks is not None and min_weeks < 1:
+        raise ValueError(f"--min-weeks must be >= 1, got {min_weeks}")
 
 
 def main(argv: list[str] | None = None) -> int:

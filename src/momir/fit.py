@@ -87,7 +87,8 @@ def fit_moment_profile(
 ) -> FitResult:
     """Fit drift plus the first ``k_lags`` autocorrelations to an IR curve.
 
-    The variance is held fixed at ``fixed_sd**2``.  One trust-region
+    The variance is held fixed at ``fixed_sd**2``; the closed form squares it
+    again, so ``fixed_sd**4`` must be a finite normal float.  One trust-region
     least-squares solve of the residual vector (closed-form IR minus the
     empirical IR at every defined lookback) starts from drift = (curve tail
     level) * fixed_sd and all autocorrelations zero, with each
@@ -95,8 +96,12 @@ def fit_moment_profile(
     get a large residual that grows with the violation.  ``iterations``
     counts every residual evaluation, finite-difference ones included.
     """
-    if fixed_sd <= 0:
-        raise ValueError("fixed_sd must be positive")
+    variance = fixed_sd * fixed_sd
+    if not (fixed_sd > 0 and np.finfo(float).tiny <= variance * variance < np.inf):
+        raise ValueError(
+            f"--fixed-sd {fixed_sd} must be positive, with a fourth power (the closed "
+            "form's squared variance) that is a finite normal float"
+        )
     if k_lags < 1:
         raise ValueError("k_lags must be >= 1")
     ns, irs = _curve_points(empirical)
@@ -107,7 +112,6 @@ def fit_moment_profile(
     _warn_if_overfitting(len(ns), k_lags + 1)
     from scipy import optimize
 
-    variance = fixed_sd * fixed_sd
     evaluations = 0
 
     def residuals(theta: np.ndarray) -> np.ndarray:
@@ -202,6 +206,11 @@ def fit_square_wave(
             f"series length {length} leaves fewer than two payoffs at lookback {int(ns[-1])}"
         )
     amplitude_max = max(10.0 * abs(mu_fixed), 0.5 * sigma_fixed)
+    if not np.isfinite(amplitude_max):
+        raise ValueError(
+            f"--mu-fixed {mu_fixed} and --sigma-fixed {sigma_fixed} give an amplitude bound "
+            "max(10 |mu|, sigma / 2) that overflows"
+        )
     lags = MA_TARGET_LAGS if noise_kind == "ma_targets" else ()
 
     from scipy import optimize

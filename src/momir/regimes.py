@@ -3,10 +3,10 @@
 A cumulative log-return series is split by minimizing the total residual sum
 of squares of independent per-segment linear fits (discontinuities allowed at
 breaks), using dynamic programming over all admissible breakpoint placements.
-The number of breaks is chosen by BIC.  Each surviving regime then gets a
-lag-1 autocorrelation, its best annualized IR over a lookback range, and a
-classification: drift-driven when the best lookback is long, autocorrelation-
-driven when it is short.
+The number of breaks is chosen by BIC; a segmentation is its break indices.
+Each regime kept then gets a lag-1 autocorrelation, its best annualized IR
+over a lookback range, and a classification: drift-driven when the best
+lookback is long, autocorrelation-driven when it is short.
 """
 
 from __future__ import annotations
@@ -23,42 +23,16 @@ from .strategy import IrCurve, Z95, _finite, block_rows, ir_curve, ir_standard_e
 from .timeseries import DatedSeries, last_per_key, write_csv
 
 __all__ = [
-    "Segment",
-    "Segmentation",
     "RegimeCase",
     "RegimeStats",
     "detect_breakpoints",
     "best_segmentation",
-    "filter_regimes",
     "acf1",
     "regime_stats",
     "average_ir_curve",
     "weekly_segmentation",
     "write_regime_report_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Half-open index span [start, end) of one regime.
-
-    The span is all a regime keeps: the lines the segmentation fits exist
-    only as the dynamic program's costs.
-    """
-
-    start: int
-    end: int
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class Segmentation:
-    """Breakpoints plus the segments between them."""
-
-    breakpoints: tuple[int, ...]
-    segments: tuple[Segment, ...]
 
 
 # Most cells the dynamic program may scan (see _dp_cells): about 3 s at the
@@ -143,20 +117,12 @@ def _dp_tables(y: np.ndarray, min_segment: int, max_breaks: int) -> tuple[np.nda
     return opt, argt
 
 
-def _backtrack(argt: np.ndarray, k: int, n: int) -> list[int]:
-    breaks: list[int] = []
-    j = n
+def _backtrack(argt: np.ndarray, k: int, n: int) -> tuple[int, ...]:
+    """Ascending break indices of the optimal k-break split of [0, n)."""
+    breaks = (n,)
     for level in range(k, 0, -1):
-        j = int(argt[level, j])
-        breaks.append(j)
-    breaks.reverse()
-    return breaks
-
-
-def _build_segmentation(n: int, breaks: Sequence[int]) -> Segmentation:
-    bounds = [0, *breaks, n]
-    segments = tuple(Segment(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
-    return Segmentation(breakpoints=tuple(int(b) for b in breaks), segments=segments)
+        breaks = (int(argt[level, breaks[0]]), *breaks)
+    return breaks[:-1]
 
 
 def _segmentable(values, min_segment: int) -> np.ndarray:
@@ -178,8 +144,8 @@ def _segmentable(values, min_segment: int) -> np.ndarray:
     return np.ldexp(z, -np.frexp(np.max(np.abs(z)))[1])
 
 
-def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
-    """Globally optimal segmentation with exactly ``n_breaks`` breaks."""
+def best_segmentation(values, n_breaks: int, min_segment: int) -> tuple[int, ...]:
+    """Break indices of the globally optimal segmentation with exactly ``n_breaks`` breaks."""
     y = _segmentable(values, min_segment)
     if n_breaks < 0:
         raise ValueError("n_breaks must be >= 0")
@@ -190,11 +156,13 @@ def best_segmentation(values, n_breaks: int, min_segment: int) -> Segmentation:
     opt, argt = _dp_tables(y, min_segment, n_breaks)
     if not np.isfinite(opt[n_breaks, len(y)]):
         raise ValueError(f"no admissible placement of {n_breaks} breaks")
-    return _build_segmentation(len(y), _backtrack(argt, n_breaks, len(y)))
+    return _backtrack(argt, n_breaks, len(y))
 
 
-def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = None) -> Segmentation:
-    """Optimal piecewise-linear segmentation with the break count chosen by BIC.
+def detect_breakpoints(
+    values, min_segment: int = 12, max_breaks: int | None = None
+) -> tuple[int, ...]:
+    """Break indices of the optimal piecewise-linear segmentation, the count chosen by BIC.
 
     For each candidate count k up to ``max_breaks`` (default: as many as the
     minimum segment length allows) the dynamic program finds the global
@@ -228,20 +196,7 @@ def detect_breakpoints(values, min_segment: int = 12, max_breaks: int | None = N
     floor = max(1e-12 * float(y @ y), np.finfo(float).tiny)
     bic = n * np.log(np.maximum(opt[ks, n], floor) / n) + (3 * ks + 2) * math.log(n)
     best_k = int(ks[np.argmin(bic)])
-    return _build_segmentation(n, _backtrack(argt, best_k, n))
-
-
-def filter_regimes(seg: Segmentation, min_weeks: int = 70) -> Segmentation:
-    """Drop segments shorter than ``min_weeks`` samples; survivors keep their spans.
-
-    Removed segments are not merged into neighbours, so the result may no
-    longer tile the series.  Idempotent.  ``breakpoints`` keeps the original
-    detection output for provenance.
-    """
-    if min_weeks < 1:
-        raise ValueError("min_weeks must be >= 1")
-    kept = tuple(s for s in seg.segments if len(s) >= min_weeks)
-    return Segmentation(breakpoints=seg.breakpoints, segments=kept)
+    return _backtrack(argt, best_k, n)
 
 
 def acf1(values) -> float:
@@ -357,10 +312,10 @@ def weekly_segmentation(
     returns: DatedSeries,
     min_segment_months: int = 12,
     max_breaks: int | None = None,
-) -> Segmentation:
+) -> tuple[int, ...]:
     """Detect drift regimes on the monthly-sampled cumulative log series and
-    express them as weekly index spans: a monthly break at b becomes the week
-    after the last week of month b - 1."""
+    return their ascending weekly break indices: a monthly break at b becomes
+    the week after the last week of month b - 1."""
     cumlog = np.cumsum(returns.values)
     month_idx = last_per_key(returns.dates, lambda d: (d.year, d.month))
     if len(month_idx) < 2 * min_segment_months:
@@ -368,8 +323,8 @@ def weekly_segmentation(
             f"{len(month_idx)} monthly samples are too few for segmentation "
             f"(need {2 * min_segment_months})"
         )
-    seg = detect_breakpoints(cumlog[month_idx], min_segment_months, max_breaks)
-    return _build_segmentation(len(cumlog), [int(month_idx[b - 1]) + 1 for b in seg.breakpoints])
+    breaks = detect_breakpoints(cumlog[month_idx], min_segment_months, max_breaks)
+    return tuple(int(month_idx[b - 1]) + 1 for b in breaks)
 
 
 REGIME_REPORT_HEADER = [

@@ -79,7 +79,7 @@ class MomentProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "autocorr", tuple(float(r) for r in self.autocorr))
         if not (self.variance > 0.0) or not math.isfinite(self.variance):
-            raise ValueError(f"variance must be positive, got {self.variance}")
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if not math.isfinite(self.mu):
             raise ValueError("drift must be finite")
         for k, r in enumerate(self.autocorr, start=1):
@@ -166,10 +166,22 @@ def write_theory_curve_csv(path: str, profile: MomentProfile, n_range: tuple[int
 
     The range is checked by its ends before it is built: an n_max above the
     cap fails naming ``--n-max``, and :func:`lookback_range` checks the rest.
+    A curve that floats cannot hold fails naming its first N: a non-finite
+    mean, variance or IR, or a variance below the smallest normal float,
+    where Var(R) >= V^2 / N has lost its digits.
     """
     if int(n_range[1]) > MAX_THEORY_N:
         raise ValueError(f"--n-max {n_range[1]} exceeds the closed-form limit of {MAX_THEORY_N}")
     ns = lookback_range(n_range)
-    mean, variance, ir = theory_curve(profile, ns)
+    with np.errstate(all="ignore"):
+        mean, variance, ir = theory_curve(profile, ns)
+        bad = ~(np.isfinite(mean) & np.isfinite(ir) & (variance >= np.finfo(float).tiny))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"--mu {profile.mu} and --variance {profile.variance} put the closed form at "
+            f"N={ns[i]} outside the float range: mean {mean[i]}, variance {variance[i]}, "
+            f"IR {ir[i]}"
+        )
     rows = zip(*(c.tolist() for c in (ns, mean, variance, ir)))
     write_csv(path, ["n", "mean", "variance", "ir"], rows)

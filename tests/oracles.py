@@ -122,9 +122,10 @@ def segment_sse(y: np.ndarray, start: int, end: int) -> float:
     return float(resid @ resid)
 
 
-def spans_sse(y: np.ndarray, segments) -> float:
-    """Total SSE of an independent line over each (start, end) span."""
-    return float(sum(segment_sse(y, s.start, s.end) for s in segments))
+def spans_sse(y: np.ndarray, breaks) -> float:
+    """Total SSE of an independent line over each span between ``breaks``."""
+    bounds = [0, *breaks, len(y)]
+    return float(sum(segment_sse(y, a, b) for a, b in zip(bounds, bounds[1:])))
 
 
 def brute_force_breaks(y: np.ndarray, n_breaks: int, min_segment: int) -> tuple[tuple[int, ...], float]:

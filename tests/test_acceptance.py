@@ -212,21 +212,20 @@ def test_breakpoint_recovery_battery():
     for trial in range(100):
         rng = np.random.default_rng(7000 + trial)
         y, true_breaks = _three_break_series(rng)
-        seg = detect_breakpoints(y, min_segment=12, max_breaks=6)
-        got = np.asarray(seg.breakpoints)
+        got = np.asarray(detect_breakpoints(y, min_segment=12, max_breaks=6))
         if len(got) == 3 and np.all(np.abs(got - true_breaks) <= 8):
             hits += 1
     # noiseless kink: the apex sample fits either adjoining line, so the
     # break lands on the kink or one sample after it, with zero residual
     y2 = np.r_[np.arange(40.0), 39.0 - np.arange(1.0, 41.0)]
-    seg2 = detect_breakpoints(y2, min_segment=5, max_breaks=4)
-    rss2 = spans_sse(y2, seg2.segments)
-    exact = seg2.breakpoints in ((39,), (40,)) and rss2 < 1e-16
+    breaks2 = detect_breakpoints(y2, min_segment=5, max_breaks=4)
+    rss2 = spans_sse(y2, breaks2)
+    exact = breaks2 in ((39,), (40,)) and rss2 < 1e-16
     elapsed = time.time() - t0
     report(
         "breakpoint recovery battery",
         hits >= 90 and exact and elapsed < 60.0,
-        f"{hits}/100 trials within +-8; noiseless kink at {seg2.breakpoints} "
+        f"{hits}/100 trials within +-8; noiseless kink at {breaks2} "
         f"(rss {rss2:.1e}); {elapsed:.1f}s",
     )
 
@@ -244,12 +243,12 @@ def test_dp_matches_exhaustive_search():
         n = int(rng.integers(32, 61))
         n_breaks = 1 + case % 2
         y = np.cumsum(rng.standard_normal(n)) + 0.3 * np.arange(n)
-        seg = best_segmentation(y, n_breaks, min_segment=8)
+        got = best_segmentation(y, n_breaks, min_segment=8)
         breaks, sse = brute_force_breaks(y, n_breaks, min_segment=8)
-        rss = spans_sse(y, seg.segments)
-        same = seg.breakpoints == breaks and math.isclose(rss, sse, rel_tol=1e-9, abs_tol=1e-9)
+        rss = spans_sse(y, got)
+        same = got == breaks and math.isclose(rss, sse, rel_tol=1e-9, abs_tol=1e-9)
         if not same:
-            mismatches.append((case, seg.breakpoints, breaks))
+            mismatches.append((case, got, breaks))
     report(
         "dynamic program equals exhaustive search",
         not mismatches,

@@ -15,8 +15,9 @@ import pytest
 import momir
 from momir import simulate as simulate_mod
 from momir.cli import _build_parser, main
+from momir.regimes import weekly_segmentation
 from momir.strategy import IR_CURVE_HEADER, read_ir_curve_csv
-from momir.timeseries import write_series_csv
+from momir.timeseries import read_value_csv, write_series_csv
 
 
 # A unit-variance iid Gaussian process spec, as a `simulate --spec` file holds it.
@@ -161,6 +162,35 @@ class TestRegimes:
         assert all(w >= 70 for w in weeks)
         avg = read_ir_curve_csv(str(curve_out))
         assert len(avg) == 43
+
+    def test_short_regime_is_dropped_and_the_long_ones_keep_their_dates(self, tmp_path, caplog,
+                                                                       monkeypatch):
+        # drift up, a short dip, drift up again: two breaks, and the middle
+        # span is shorter than --min-weeks
+        rng = np.random.default_rng(5)
+        n = 30 * 52
+        drift = np.where((np.arange(n) >= 700) & (np.arange(n) < 780), -0.02, 0.02)
+        values = drift + 0.02 * rng.standard_normal(n)
+        dates = weekly_dates(dt.date(1970, 1, 2), n)
+        src = tmp_path / "returns.csv"
+        write_series_csv(str(src), dates, values)
+        breaks = weekly_segmentation(read_value_csv(str(src)), max_breaks=2)
+        # monthly sampling and the noise place each break within weeks of its flip
+        assert len(breaks) == 2 and all(abs(b - f) <= 10 for b, f in zip(breaks, (700, 780)))
+        report = tmp_path / "regimes.csv"
+        monkeypatch.setenv("MOMIR_LOG", "INFO")
+        code = main(["regimes", "--input", str(src), "--output", str(report),
+                     "--output-curve", str(tmp_path / "avg.csv"), "--max-breaks", "2",
+                     "--min-weeks", "100"])
+        assert code == 0
+        assert "2 breakpoints -> 3 segments, 2 of length >= 100 weeks" in caplog.text
+        rows = [row.split(",")[:3] for row in report.read_text().splitlines()[1:]]
+        # a regime reports the dates of its normalized returns, which start
+        # --p = 10 returns into the series; the dropped span is not merged
+        assert rows == [
+            [str(dates[10]), str(dates[breaks[0] - 1]), str(breaks[0] - 10)],
+            [str(dates[breaks[1]]), str(dates[-1]), str(n - breaks[1])],
+        ]
 
     @pytest.mark.parametrize("power", [900, -900])
     def test_rescaled_returns_write_the_unscaled_outputs(self, tmp_path, power):
@@ -341,13 +371,34 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          None, "--sigma-fixed"),
         ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed -1", None, "--seed"),
         ("simulate --spec {spec} --n-max 3 --seed -1", None, "--seed"),
+        ("regimes --input {tmp}/nan.csv --output-curve {tmp}/avg.csv --min-weeks 0", None,
+         "--min-weeks must be >= 1, got 0"),
+        ("theory --mu 1e200 --variance 2.25 --n-max 5", None,
+         "--mu 1e+200 and --variance 2.25 put the closed form at N=1 outside the float range"),
+        ("theory --mu 0 --variance 1e-320 --rho 0.1 --n-max 5", None,
+         "--mu 0.0 and --variance 1e-320 put the closed form at N=1 outside the float range"),
+        ("theory --mu 0 --variance 1e-160 --rho 0.1 --n-max 5", None,
+         "--mu 0.0 and --variance 1e-160 put the closed form at N=1 outside the float range"),
+        ("theory --mu 0.1 --variance inf --n-max 5", None,
+         "variance must be positive and finite, got inf"),
+        ("fit --input {curve} --model squarewave --mu-fixed 1e308 --seed 1", None,
+         "--mu-fixed 1e+308 and --sigma-fixed 1.5"),
+        ("fit --input {curve} --model stationary --k-lags 1 --fixed-sd 1e200", None,
+         "--fixed-sd 1e+200 must be positive"),
+        ("fit --input {curve} --model stationary --k-lags 1 --fixed-sd 1e-300", None,
+         "--fixed-sd 1e-300 must be positive"),
+        ("fit --input {curve} --model stationary --k-lags 1 --fixed-sd 1e100", None,
+         "--fixed-sd 1e+100 must be positive"),
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "inf-ir-cell", "nan-return",
          "inf-return", "zero-t-step", "ir-daily-returns",
          "regimes-month-end-returns", "regimes-oversized-segmentation", "empty-lookback-range", "theory-bad-rho",
          "theory-oversized-n-max", "nan-fixed-sd",
          "nan-mu-fixed", "inf-mu-fixed", "nan-sigma-fixed", "fit-negative-seed",
-         "simulate-negative-seed"],
+         "simulate-negative-seed", "regimes-zero-min-weeks", "theory-overflowing-mu",
+         "theory-underflowing-variance", "theory-subnormal-variance", "theory-infinite-variance",
+         "overflowing-mu-fixed", "overflowing-fixed-sd", "underflowing-fixed-sd",
+         "fixed-sd-overflowing-closed-form"],
 )
 def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, bad_row, needle):
     month_ends = [dt.date(1990 + m // 12, m % 12 + 1, 1) - dt.timedelta(days=1)

@@ -29,9 +29,8 @@ MODULE_ALL = {
     "cli": [],
     "fit": ["FitResult", "fit_moment_profile", "fit_square_wave", "write_fit_result_json"],
     "regimes": [
-        "RegimeCase", "RegimeStats", "Segment", "Segmentation", "acf1",
-        "average_ir_curve", "best_segmentation", "detect_breakpoints", "filter_regimes",
-        "regime_stats", "weekly_segmentation", "write_regime_report_csv",
+        "RegimeCase", "RegimeStats", "acf1", "average_ir_curve", "best_segmentation",
+        "detect_breakpoints", "regime_stats", "weekly_segmentation", "write_regime_report_csv",
     ],
     "simulate": [
         "IidGaussian", "McIrCurve", "MovingAverage", "ProcessSpec", "SquareWaveDrift",

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from momir.regimes import (
     RegimeCase,
-    Segment,
-    Segmentation,
     acf1,
     average_ir_curve,
     best_segmentation,
     detect_breakpoints,
-    filter_regimes,
     regime_stats,
     weekly_segmentation,
     write_regime_report_csv,
@@ -42,35 +39,24 @@ def two_piece(n_left=30, n_right=30, slope=1.0):
 class TestDetectBreakpoints:
     def test_noiseless_two_piece_recovers_kink(self):
         y = two_piece()
-        seg = detect_breakpoints(y, min_segment=5, max_breaks=4)
-        assert len(seg.breakpoints) == 1
+        breaks = detect_breakpoints(y, min_segment=5, max_breaks=4)
+        assert len(breaks) == 1
         # the apex sample fits either adjoining line exactly
-        assert seg.breakpoints[0] in (29, 30)
-        assert spans_sse(y, seg.segments) < 1e-18
+        assert breaks[0] in (29, 30)
+        assert spans_sse(y, breaks) < 1e-18
         # residual variance sse / max(length - 2, 1) of each span's line
-        resid_var = [segment_sse(y, s.start, s.end) / max(len(s) - 2, 1) for s in seg.segments]
+        bounds = [0, *breaks, len(y)]
+        resid_var = [segment_sse(y, a, b) / max(b - a - 2, 1) for a, b in zip(bounds, bounds[1:])]
         assert all(v < 1e-18 for v in resid_var)
 
     def test_pure_linear_selects_no_breaks(self):
         y = 0.37 * np.arange(90.0) - 4.0
-        seg = detect_breakpoints(y, min_segment=6, max_breaks=5)
-        assert seg.breakpoints == ()
-        assert len(seg.segments) == 1
+        assert detect_breakpoints(y, min_segment=6, max_breaks=5) == ()
 
     def test_noisy_linear_selects_no_breaks(self):
         rng = np.random.default_rng(2)
         y = 0.2 * np.arange(200.0) + rng.standard_normal(200)
-        seg = detect_breakpoints(y, min_segment=12, max_breaks=5)
-        assert seg.breakpoints == ()
-
-    def test_segments_tile_series(self):
-        rng = np.random.default_rng(3)
-        y = np.cumsum(rng.standard_normal(150))
-        seg = detect_breakpoints(y, min_segment=12, max_breaks=4)
-        bounds = [0, *seg.breakpoints, len(y)]
-        for s, (a, b) in zip(seg.segments, zip(bounds, bounds[1:])):
-            assert (s.start, s.end) == (a, b)
-            assert len(s) >= 12
+        assert detect_breakpoints(y, min_segment=12, max_breaks=5) == ()
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="shorter than 2"):
@@ -100,9 +86,47 @@ class TestDetectBreakpoints:
     def test_more_breaks_never_increase_rss(self):
         rng = np.random.default_rng(4)
         y = np.cumsum(rng.standard_normal(120))
-        rss = [spans_sse(y, best_segmentation(y, k, 10).segments) for k in range(0, 5)]
+        rss = [spans_sse(y, best_segmentation(y, k, 10)) for k in range(0, 5)]
         for a, b in zip(rss, rss[1:]):
             assert b <= a + 1e-9
+
+
+def assert_breaks_tile(breaks, n, min_segment):
+    """Strictly increasing Python ints in (0, n) leaving spans of >= min_segment."""
+    assert all(type(b) is int for b in breaks)
+    assert all(0 < b < n for b in breaks)
+    assert all(a < b for a, b in zip(breaks, breaks[1:]))
+    bounds = (0, *breaks, n)
+    assert all(b - a >= min_segment for a, b in zip(bounds, bounds[1:]))
+
+
+class TestBreakProperties:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12).flatmap(lambda m: st.tuples(st.just(m), st.integers(2 * m, 160))),
+        st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_breaks_tile_the_series(self, seed, sizes, drift):
+        min_segment, n = sizes
+        y = np.cumsum(np.random.default_rng(seed).normal(drift, 1.0, n))
+        assert_breaks_tile(detect_breakpoints(y, min_segment=min_segment), n, min_segment)
+        k = seed % (n // min_segment)
+        breaks = best_segmentation(y, k, min_segment)
+        assert len(breaks) == k
+        assert_breaks_tile(breaks, n, min_segment)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 300),
+           st.integers(0, 364))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_weekly_breaks_lie_inside_the_returns(self, seed, months, extra, offset):
+        # at least 2 * months month ends, starting on any day of the year
+        n = 10 * months + 5 + extra
+        start = dt.date(1990, 1, 1) + dt.timedelta(days=offset)
+        dates = tuple(start + dt.timedelta(days=7 * i) for i in range(n))
+        values = np.random.default_rng(seed).normal(0.002, 0.02, n)
+        breaks = weekly_segmentation(DatedSeries(dates, values), min_segment_months=months)
+        assert_breaks_tile(breaks, n, 1)
 
 
 def noiseless_piecewise_linear(rng):
@@ -126,7 +150,7 @@ def test_noiseless_data_selects_its_break_count_at_any_scale():
     wrong = []
     for case in range(40):
         y, k = noiseless_piecewise_linear(np.random.default_rng(5100 + case))
-        got = len(detect_breakpoints(y, min_segment=12, max_breaks=6).breakpoints)
+        got = len(detect_breakpoints(y, min_segment=12, max_breaks=6))
         if got != k:
             wrong.append((case, k, got))
     assert not wrong
@@ -147,12 +171,12 @@ class TestShiftInvariance:
         c = shift * 2.0**-10
         a = detect_breakpoints(y, min_segment=4)
         b = detect_breakpoints(y + c, min_segment=4)
-        assert a.breakpoints == b.breakpoints
+        assert a == b
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_large_level_keeps_breaks(self, seed):
         y = np.cumsum(np.random.default_rng(seed).normal(0.01, 1, 300))
-        assert detect_breakpoints(y + 1e7).breakpoints == detect_breakpoints(y).breakpoints
+        assert detect_breakpoints(y + 1e7) == detect_breakpoints(y)
 
 
 class TestScaleInvariance:
@@ -162,15 +186,15 @@ class TestScaleInvariance:
     WALK = np.cumsum(np.random.default_rng(4).normal(0.01, 1, 600))
 
     def test_detect_breakpoints_keeps_breaks_at_every_scale(self):
-        want = detect_breakpoints(self.WALK).breakpoints
+        want = detect_breakpoints(self.WALK)
         assert len(want) == 27
-        moved = [s for s in self.SCALES if detect_breakpoints(s * self.WALK).breakpoints != want]
+        moved = [s for s in self.SCALES if detect_breakpoints(s * self.WALK) != want]
         assert not moved
 
     def test_best_segmentation_keeps_breaks_at_every_scale(self):
-        want = best_segmentation(self.WALK, 27, 12).breakpoints
+        want = best_segmentation(self.WALK, 27, 12)
         moved = [s for s in self.SCALES
-                 if best_segmentation(s * self.WALK, 27, 12).breakpoints != want]
+                 if best_segmentation(s * self.WALK, 27, 12) != want]
         assert not moved
 
 
@@ -194,10 +218,10 @@ class TestDpOptimality:
         rng = np.random.default_rng(900 + seed)
         n = int(rng.integers(36, 55))
         y = np.cumsum(rng.standard_normal(n)) + 0.5 * np.arange(n)
-        seg = best_segmentation(y, k, min_segment=8)
+        got = best_segmentation(y, k, min_segment=8)
         breaks, sse = brute_force_breaks(y, k, min_segment=8)
-        assert seg.breakpoints == breaks
-        assert spans_sse(y, seg.segments) == pytest.approx(sse, rel=1e-9, abs=1e-9)
+        assert got == breaks
+        assert spans_sse(y, got) == pytest.approx(sse, rel=1e-9, abs=1e-9)
 
     def test_tables_match_the_full_row_recurrence(self, monkeypatch):
         # Levels skip the starts that cannot hold a split and the cost matrix
@@ -278,27 +302,6 @@ class TestDpBudget:
             tracemalloc.stop()
         # the shifted copy of the series, 160 kB, is all it holds
         assert peak < 2**20
-
-
-class TestFilterRegimes:
-    def make_seg(self, lengths):
-        bounds = np.concatenate([[0], np.cumsum(lengths)])
-        segs = tuple(Segment(int(a), int(b)) for a, b in zip(bounds, bounds[1:]))
-        return Segmentation(tuple(int(b) for b in bounds[1:-1]), segs)
-
-    def test_keeps_long_segments(self):
-        seg = self.make_seg([100, 90, 80])
-        assert filter_regimes(seg, 70) == seg
-
-    def test_drops_short_segment_without_merging(self):
-        seg = self.make_seg([100, 50, 100])
-        kept = filter_regimes(seg, 70)
-        assert [(s.start, s.end) for s in kept.segments] == [(0, 100), (150, 250)]
-
-    def test_idempotent(self):
-        seg = self.make_seg([100, 50, 100, 69])
-        once = filter_regimes(seg, 70)
-        assert filter_regimes(once, 70) == once
 
 
 class TestAcf:
@@ -447,13 +450,13 @@ class TestWeeklyPipeline:
     def test_weekly_segmentation_maps_monthly_break_to_week(self):
         returns = self.make_returns(noise_sd=0.0)
         n = len(returns)
-        seg = weekly_segmentation(returns, min_segment_months=12)
-        assert len(seg.breakpoints) == 1
+        breaks = weekly_segmentation(returns, min_segment_months=12)
+        assert len(breaks) == 1
         # monthly sampling places the break within a few weeks of the flip
-        assert abs(seg.breakpoints[0] - n // 2) <= 5
+        assert abs(breaks[0] - n // 2) <= 5
         # each weekly span's least-squares drift of the cumulative log series
-        cumlog = np.cumsum(returns.values)
-        slopes = [np.polyfit(np.arange(len(s)), cumlog[s.start:s.end], 1)[0] for s in seg.segments]
+        spans = np.split(np.cumsum(returns.values), breaks)
+        slopes = [np.polyfit(np.arange(len(s)), s, 1)[0] for s in spans]
         assert slopes[0] == pytest.approx(0.004, abs=1e-4)
         assert slopes[1] == pytest.approx(-0.004, abs=1e-4)
 
@@ -462,8 +465,8 @@ class TestWeeklyPipeline:
         # itself must still be located
         returns = self.make_returns(noise_sd=0.01)
         n = len(returns)
-        seg = weekly_segmentation(returns, min_segment_months=12)
-        assert min(abs(b - n // 2) for b in seg.breakpoints) <= 10
+        breaks = weekly_segmentation(returns, min_segment_months=12)
+        assert min(abs(b - n // 2) for b in breaks) <= 10
 
 
 def test_regime_report_format(tmp_path):
