@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .strategy import IrCurve, ir_matrix
+from .strategy import IrCurve, ir_matrix, sharded
 from .simulate import (
-    IidGaussian, InfeasibleTargets, MovingAverage, SquareWaveDrift, innovations,
+    IidGaussian, InfeasibleTargets, MovingAverage, SquareWaveDrift, drift, innovations,
     ma_from_target_acf, series,
 )
 from .theory import MomentProfile, realizability_violation, theory_curve
@@ -172,14 +172,19 @@ def fit_square_wave(
     ``noise_kind == 'ma_targets'``.  One builder turns (period, theta) into a
     process spec.  Candidates are scored by a seeded common-random-numbers
     Monte Carlo estimate of the model IR curve at the empirical lookbacks:
-    every candidate series is built by :func:`momir.simulate.series` from one
-    innovation matrix, drawn from the seed and sized by the builder's spec
-    at theta = 0, so re-scoring identical parameters is bit-stable.  The
-    best cell is the first with the smallest rss.
+    every candidate series is built as :func:`momir.simulate.series` builds
+    it from one innovation matrix, drawn from the seed and sized by the
+    builder's spec at theta = 0, so re-scoring identical parameters is
+    bit-stable.  The matrix's rows are scored on
+    :func:`momir.strategy.sharded`'s processes; the specs, the search and the
+    evaluation count stay in this one.  The best cell is the first with the
+    smallest rss.
     ``length`` defaults to the series length implied by the curve's sample
     counts, which must then satisfy samples + n = length on every row, as on
-    a curve written by ``ir``.  Raises if the period grid is empty, and
-    before scoring a candidate beyond :data:`MAX_EVALUATIONS`.
+    a curve written by ``ir``.  Raises if the period grid is empty, before
+    scoring a candidate beyond :data:`MAX_EVALUATIONS`, and, naming
+    ``--mu-fixed`` and ``--sigma-fixed``, on a candidate too large for the
+    IR kernel's float64 payoff moments.
     """
     if noise_kind not in ("iid", "ma_targets"):
         raise ValueError(f"noise_kind must be 'iid' or 'ma_targets', got {noise_kind!r}")
@@ -224,11 +229,28 @@ def fit_square_wave(
         return SquareWaveDrift(mu_fixed, theta[0], float(t_wave), noise)
 
     # Every candidate is built from this one draw (common random numbers).
-    eta = innovations(spec(t_values[0], np.zeros(1 + len(lags))), paths, length, seed)
+    # iid noise does not depend on theta, so it is built once, before the
+    # shards fork; each candidate adds its drift in series' own order.
+    rows = innovations(spec(t_values[0], np.zeros(1 + len(lags))), paths, length, seed)
+    if not lags:
+        rows = series(IidGaussian(0.0, sigma_fixed), rows)
+
+    def score_rows(part: slice, candidate: SquareWaveDrift) -> np.ndarray:
+        x = series(candidate, rows[part]) if lags else drift(candidate, length) + rows[part]
+        return ir_matrix(x, ns)
+
     evaluations = 0
 
     def curve(t_wave: int, theta) -> np.ndarray:
-        return ir_matrix(series(spec(t_wave, theta), eta), ns).mean(axis=0)
+        candidate = spec(t_wave, theta)
+        try:
+            return run(candidate).mean(axis=0)
+        except ValueError as exc:
+            raise ValueError(
+                f"--mu-fixed {mu_fixed} and --sigma-fixed {sigma_fixed} give candidate series "
+                f"(period {t_wave}, amplitude {theta[0]:.6g}) that the IR kernel cannot "
+                f"score: {exc}"
+            ) from None
 
     def score(theta, t_wave: int) -> float:
         nonlocal evaluations
@@ -247,25 +269,27 @@ def fit_square_wave(
         return float(diff @ diff)
 
     cells = []
-    for t_wave in t_values:
-        if lags:
-            res = optimize.minimize(
-                score,
-                np.r_[abs(mu_fixed), np.full(len(lags), 0.02)],
-                args=(t_wave,),
-                method="Nelder-Mead",
-                options={"maxiter": 300, "fatol": 1e-8, "xatol": 1e-5, "adaptive": True},
-            )
-        else:
-            res = optimize.minimize_scalar(
-                score,
-                bounds=(0.0, amplitude_max),
-                args=(t_wave,),
-                method="bounded",
-                options={"xatol": 1e-4 * amplitude_max, "maxiter": 200},
-            )
-        cells.append((float(res.fun), t_wave, np.atleast_1d(res.x), bool(res.success)))
-    rss, t_hat, theta_hat, converged = min(cells, key=lambda cell: cell[0])
+    with sharded(score_rows, paths) as run:
+        for t_wave in t_values:
+            if lags:
+                res = optimize.minimize(
+                    score,
+                    np.r_[abs(mu_fixed), np.full(len(lags), 0.02)],
+                    args=(t_wave,),
+                    method="Nelder-Mead",
+                    options={"maxiter": 300, "fatol": 1e-8, "xatol": 1e-5, "adaptive": True},
+                )
+            else:
+                res = optimize.minimize_scalar(
+                    score,
+                    bounds=(0.0, amplitude_max),
+                    args=(t_wave,),
+                    method="bounded",
+                    options={"xatol": 1e-4 * amplitude_max, "maxiter": 200},
+                )
+            cells.append((float(res.fun), t_wave, np.atleast_1d(res.x), bool(res.success)))
+        rss, t_hat, theta_hat, converged = min(cells, key=lambda cell: cell[0])
+        fitted_ir = curve(t_hat, theta_hat)
     parameters = {"t_wave": float(t_hat), "amplitude": float(theta_hat[0])}
     parameters.update({f"rho_{lag}": float(v) for lag, v in zip(lags, theta_hat[1:])})
     return FitResult(
@@ -274,7 +298,7 @@ def fit_square_wave(
         iterations=evaluations,
         converged=converged,
         fitted_n=ns,
-        fitted_ir=curve(t_hat, theta_hat),
+        fitted_ir=fitted_ir,
         settings={
             "model": "squarewave",
             "noise_kind": noise_kind,

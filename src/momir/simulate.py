@@ -22,7 +22,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .strategy import block_rows, ir_matrix, lookback_range
+from .strategy import block_rows, ir_matrix, lookback_range, sharded
 from .timeseries import write_csv
 
 __all__ = [
@@ -132,6 +132,12 @@ def square_wave(t: np.ndarray, t_wave: float) -> np.ndarray:
     return np.where(phase <= t_wave / 2.0, 1.0, -1.0)
 
 
+def drift(spec: SquareWaveDrift, length: int) -> np.ndarray:
+    """The growth rate mu + A * sgn(sin(2 pi t / T_wave)) at t = 1..length."""
+    t = np.arange(1, length + 1, dtype=float)
+    return spec.mu + spec.amplitude * square_wave(t, spec.t_wave)
+
+
 def _check_budget(rows: int, columns: int, what: str, options: str) -> None:
     """Fail naming ``options`` when rows x columns exceeds :data:`MAX_DRAW_ELEMENTS`."""
     if rows * columns > MAX_DRAW_ELEMENTS:
@@ -175,8 +181,7 @@ def series(spec: ProcessSpec, eta: np.ndarray) -> np.ndarray:
         a = np.asarray(spec.coefficients)
         return spec.mu + spec.sigma * np.apply_along_axis(np.convolve, -1, eta, a, mode="valid")
     noise = series(spec.noise, eta)
-    t = np.arange(1, noise.shape[-1] + 1, dtype=float)
-    return spec.mu + spec.amplitude * square_wave(t, spec.t_wave) + noise
+    return drift(spec, noise.shape[-1]) + noise
 
 
 def theoretical_acf_of_ma(coefficients, lag: int) -> float:
@@ -300,17 +305,25 @@ def mc_ir_curve(
     Paths are drawn, built and scored one block at a time
     (:func:`momir.strategy.block_rows`), so the draw does not grow with
     ``paths``; the per-path IR table does, up to :data:`MAX_DRAW_ELEMENTS`.
+    The blocks are shared out in runs to :func:`momir.strategy.sharded`'s
+    processes; each path's IRs do not depend on which process scores it.
     """
     ns = lookback_range(n_range, length)
     if paths < 1:
         raise ValueError("paths must be >= 1")
     _check_budget(paths, len(ns), "per-path IRs", "--paths or --n-max")
-    per_path = np.empty((paths, len(ns)))
     step = block_rows(length)
-    for first in range(0, paths, step):
-        block = min(step, paths - first)
-        x = series(spec, innovations(spec, block, length, seed, first))
-        per_path[first : first + block] = ir_matrix(x, ns)
+    firsts = range(0, paths, step)
+
+    def score_blocks(part: slice) -> np.ndarray:
+        return np.concatenate([
+            ir_matrix(series(spec, innovations(spec, min(step, paths - first), length, seed,
+                                               first)), ns)
+            for first in firsts[part]
+        ])
+
+    with sharded(score_blocks, len(firsts)) as run:
+        per_path = run()
     ir_mean = per_path.mean(axis=0)
     if paths >= 2:
         ir_se = per_path.std(axis=0, ddof=1) / math.sqrt(paths)

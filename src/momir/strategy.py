@@ -10,10 +10,12 @@ multiplies by sqrt(PERIODS_PER_YEAR).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
 from dataclasses import dataclass
-from typing import Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -112,25 +114,17 @@ class IrCurve:
         return len(self.n)
 
 
-def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """Prefix sums along the last axis of ``x``, with a leading 0: one more column than ``x``."""
-    prefix = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.cumsum(x, axis=-1, out=prefix[..., 1:])
-    return prefix
-
-
-def _payoffs(x: np.ndarray, ns, prefix=None, buffer=None) -> Iterator[np.ndarray]:
+def _payoffs(x: np.ndarray, ns, buffer=None) -> Iterator[np.ndarray]:
     """Payoffs m_{t-1}(N) * X_t along the last axis of ``x``, for each N in turn.
 
-    Window sums are differences of ``prefix``, the prefix sums of ``x``
-    (:func:`_prefix_sums`), shared by every lookback.  Every yielded array is
-    a view of ``buffer``, which holds at least the payoffs of the smallest N,
-    so each is valid only until the next one is drawn.  Either is made here
-    when not given.
+    Window sums are differences of one prefix sum of ``x``, shared by every
+    lookback.  Every yielded array is a view of ``buffer``, which holds at
+    least the payoffs of the smallest N (made here when not given), so each
+    is valid only until the next one is drawn.
     """
     lead, length = x.shape[:-1], x.shape[-1]
-    if prefix is None:
-        prefix = _prefix_sums(x)
+    prefix = np.zeros(lead + (length + 1,))
+    np.cumsum(x, axis=-1, out=prefix[..., 1:])
     if buffer is None:
         buffer = np.empty(math.prod(lead) * (length - min(ns)))
     for n in ns:
@@ -162,38 +156,15 @@ def ir_standard_error(samples: int) -> float:
 # constant payoff in double precision; the IR is reported as undefined there.
 DEGENERATE_SD_RTOL = 1e-12
 
-# Rows are scored in blocks of about this many elements, so each payoff
+# Rows are scored in blocks of about this many elements, so the payoff
 # buffer stays cache-sized.  numpy reduces each row on its own, so every
-# statistic is bit-identical to a one-row-at-a-time run.  A block with
-# fewer than WORKERS times this many payoffs is scored on the calling
-# thread.  The segmentation DP and the Monte Carlo draw block by the same
-# rule (block_rows).
+# statistic is bit-identical to a one-row-at-a-time run.  The segmentation
+# DP and the Monte Carlo draw block by the same rule (block_rows).
 IR_BLOCK_ELEMENTS = 2**16
 
-# The IR kernel's threads: one per CPU this process may run on.
+# The processes :func:`sharded` scores rows on: one per CPU this process may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-_POOL = None
-
-
-def _pool():
-    """The IR kernel's thread pool, made on first use."""
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(WORKERS, thread_name_prefix="momir-ir")
-    return _POOL
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads, so it makes its own pool."""
-    global _POOL
-    _POOL = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def block_rows(length: int) -> int:
@@ -201,30 +172,136 @@ def block_rows(length: int) -> int:
     return max(1, IR_BLOCK_ELEMENTS // length)
 
 
+@contextlib.contextmanager
+def sharded(work: Callable[..., np.ndarray], rows: int) -> Iterator[Callable[..., np.ndarray]]:
+    """Score ``rows`` independent rows on one pinned, forked process per CPU.
+
+    Yields ``run``: ``run(*args)`` stacks, in row order, the arrays
+    ``work(part, *args)`` of ``min(WORKERS, rows)`` shards, where ``part`` is
+    the shard's slice of ``range(rows)``, cut as ``np.array_split`` cuts.
+    The children are forked on entry, so they inherit every input made
+    before it, and each call pipes only ``args`` and the results.  Child k
+    runs on the k-th CPU this process may run on (a new process starts on
+    its parent's CPU and stays there for about a second).  A shard's
+    exception is raised here with its type and message, after every shard's
+    reply is read, so no child is left blocked on a full pipe; a child that
+    dies raises naming its shard.  Every child is killed and reaped on exit.
+    With one shard, or without ``os.fork``, ``work`` runs in this process.
+    momir starts no thread, so the fork copies no lock held by another.
+    """
+    shards = min(WORKERS, rows)
+    size, extra = divmod(rows, shards)
+    parts = [slice(k * size + min(k, extra), (k + 1) * size + min(k + 1, extra))
+             for k in range(shards)]
+    if shards == 1 or not hasattr(os, "fork"):
+        yield lambda *args: np.concatenate([work(part, *args) for part in parts])
+        return
+    import signal  # only a forking call pays for its import
+
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    children: list[tuple[int, BinaryIO, BinaryIO]] = []
+
+    def run(*args) -> np.ndarray:
+        request = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
+        for _, requests, _ in children:
+            with contextlib.suppress(BrokenPipeError):  # its reply reports the death
+                requests.write(request)
+                requests.flush()
+        results, errors = [], []
+        for k, (pid, _, replies) in enumerate(children):
+            try:
+                error, result = pickle.load(replies)
+            except (EOFError, pickle.UnpicklingError):
+                error, result = RuntimeError(f"shard {k} of {shards} (pid {pid}) died before "
+                                             f"it replied: {_exit_status(pid)}"), None
+            errors.append(error)
+            results.append(result)
+        for error in errors:
+            if error is not None:
+                raise error
+        return np.concatenate(results)
+
+    try:
+        for k, part in enumerate(parts):
+            children.append(_fork_shard(work, part, cpus[k % len(cpus)] if cpus else None))
+        yield run
+    finally:
+        for pid, requests, replies in children:
+            os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(OSError):  # a request left unsent to a dead child
+                requests.close()
+            replies.close()
+            os.waitpid(pid, 0)
+
+
+def _fork_shard(work, part: slice, cpu: int | None) -> tuple[int, BinaryIO, BinaryIO]:
+    """Fork one child that answers each pickled ``args`` with ``work(part, *args)``.
+
+    Returns its pid, the file its requests go to and the file its replies come from.
+    """
+    request_in, request_out = os.pipe()
+    reply_in, reply_out = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(request_out)
+            os.close(reply_in)
+            if cpu is not None:
+                os.sched_setaffinity(0, {cpu})
+            _serve(work, part, os.fdopen(request_in, "rb"), os.fdopen(reply_out, "wb"))
+            code = 0
+        finally:
+            os._exit(code)  # the child never returns into its parent's stack
+    os.close(request_in)
+    os.close(reply_out)
+    return pid, os.fdopen(request_out, "wb"), os.fdopen(reply_in, "rb")
+
+
+def _serve(work, part: slice, requests, replies) -> None:
+    """Reply ``(None, work(part, *args))`` or ``(exception, None)`` to each request until EOF."""
+    while True:
+        try:
+            args = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = (None, work(part, *args))
+        except Exception as exc:
+            reply = (exc, None)
+        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
+
+
+def _exit_status(pid: int) -> str:
+    """How the exited child ``pid`` ended, read without reaping it."""
+    info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    if info.si_code == os.CLD_EXITED:
+        return f"exit code {info.si_status}"
+    return f"killed by signal {info.si_status}"
+
+
 def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row payoff mean, sample sd and IR at each lookback, each (rows, len(ns)).
 
     The sd is NaN with fewer than two payoffs; the IR is NaN where the sd is
     undefined, zero or degenerate.  The steps are numpy's own for ``np.mean``
-    and ``np.std(ddof=1)``, run in place on a payoff buffer, so every
+    and ``np.std(ddof=1)``, run in place on one payoff buffer, so every
     statistic is bit-identical to those calls.  Each block of rows gets one
-    prefix sum; worker k scores lookbacks ``ns[k::WORKERS]`` from it into its
-    own buffer and its own columns, so the statistics are the same bits at
-    any worker count.
+    prefix sum, shared by every lookback.  A mean that is not finite or an sd
+    that is +inf means the payoffs' sums or squares overflowed, so it fails
+    naming its row and lookback rather than reporting an IR of 0 or NaN.
     """
     rows, length = x.shape
     mean = np.empty((rows, len(ns)))
     sd = np.full_like(mean, np.nan)
     step = block_rows(length)
-    shares = [np.arange(k, len(ns), WORKERS) for k in range(min(WORKERS, len(ns)))]
-    buffers = [np.empty(min(step, rows) * (length - ns[cols].min())) for cols in shares]
-    row_payoffs = int(np.sum(length - ns))
-    for lo in range(0, rows, step):
-        block = slice(lo, lo + step)
-        prefix = _prefix_sums(x[block])
-
-        def score(cols, buffer):
-            for i, pays in zip(cols, _payoffs(x[block], ns[cols], prefix, buffer)):
+    buffer = np.empty(min(step, rows) * (length - ns.min()))
+    # overflow fails below; a zero or undefined sd leaves the IR undefined
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, rows, step):
+            block = slice(lo, lo + step)
+            for i, pays in enumerate(_payoffs(x[block], ns, buffer=buffer)):
                 m = pays.shape[1]
                 mu = np.add.reduce(pays, axis=1) / m
                 mean[block, i] = mu
@@ -232,12 +309,16 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
                     pays -= mu[:, None]
                     pays *= pays
                     sd[block, i] = np.sqrt(np.add.reduce(pays, axis=1) / (m - 1))
-
-        threaded = WORKERS > 1 and len(prefix) * row_payoffs >= WORKERS * IR_BLOCK_ELEMENTS
-        list((_pool().map if threaded else map)(score, shares, buffers))
-    defined = (sd > 0.0) & (sd > DEGENERATE_SD_RTOL * np.abs(mean))
-    with np.errstate(divide="ignore", invalid="ignore"):
+        defined = (sd > 0.0) & (sd > DEGENERATE_SD_RTOL * np.abs(mean))
         ir = np.where(defined, mean / sd, np.nan)
+    overflowed = ~np.isfinite(mean) | (sd == np.inf)
+    if overflowed.any():
+        r, i = np.argwhere(overflowed)[0]
+        what, value = ("mean", mean[r, i]) if not np.isfinite(mean[r, i]) else ("sd", sd[r, i])
+        raise ValueError(
+            f"payoff {what} of row {r} at lookback {ns[i]} is {value}: the series is too "
+            "large for float64 payoff moments"
+        )
     return mean, sd, ir
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import momir
 from momir import simulate as simulate_mod
+from momir import strategy
 from momir.cli import _build_parser, main
 from momir.regimes import weekly_segmentation
 from momir.strategy import IR_CURVE_HEADER, read_ir_curve_csv
@@ -338,6 +339,14 @@ def test_each_subcommand_has_exactly_the_pinned_options():
     assert got == CLI_OPTIONS
 
 
+# Inputs that are checked, drawn and scored, and only then found too large
+# for the IR kernel's payoff moments.
+OVERFLOWING = (
+    "simulate --spec {tmp}/huge.json --n-max 5 --paths 20 --length 500 --seed 1",
+    *(f"fit --input {{curve}} --model squarewave --mu-fixed {mu} --t-min 100 --t-max 100 "
+      "--paths 4 --seed 1" for mu in ("1e80", "1e307")),
+)
+
 CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
               "3,0.03,1,0.03,0.216,0.098,397"]
 
@@ -389,6 +398,9 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "--fixed-sd 1e-300 must be positive"),
         ("fit --input {curve} --model stationary --k-lags 1 --fixed-sd 1e100", None,
          "--fixed-sd 1e+100 must be positive"),
+        (OVERFLOWING[0], None, "payoff sd of row 0 at lookback 1 is inf"),
+        (OVERFLOWING[1], None, "--mu-fixed 1e+80 and --sigma-fixed 1.5 give candidate series"),
+        (OVERFLOWING[2], None, "--mu-fixed 1e+307 and --sigma-fixed 1.5 give candidate series"),
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "inf-ir-cell", "nan-return",
          "inf-return", "zero-t-step", "ir-daily-returns",
@@ -398,7 +410,8 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "simulate-negative-seed", "regimes-zero-min-weeks", "theory-overflowing-mu",
          "theory-underflowing-variance", "theory-subnormal-variance", "theory-infinite-variance",
          "overflowing-mu-fixed", "overflowing-fixed-sd", "underflowing-fixed-sd",
-         "fixed-sd-overflowing-closed-form"],
+         "fixed-sd-overflowing-closed-form", "simulate-overflowing-payoff-sd",
+         "fit-overflowing-payoff-sd", "fit-overflowing-prefix-sums"],
 )
 def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, bad_row, needle):
     month_ends = [dt.date(1990 + m // 12, m % 12 + 1, 1) - dt.timedelta(days=1)
@@ -423,11 +436,14 @@ def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, b
     curve.write_text("\n".join([",".join(IR_CURVE_HEADER), *rows]) + "\n")
     spec = tmp_path / "spec.json"
     spec.write_text(IID_UNIT_SPEC)
+    (tmp_path / "huge.json").write_text(
+        '{"variant": "iid_gaussian", "mu": 5e98, "sigma": 1e100}\n')
 
     def draw(*args):
         raise AssertionError("a series was drawn before the input was checked")
 
-    monkeypatch.setattr(simulate_mod, "innovations", draw)
+    if argv not in OVERFLOWING:
+        monkeypatch.setattr(simulate_mod, "innovations", draw)
     line = argv.format(curve=curve, spec=spec, tmp=tmp_path, daily=tmp_path / "daily.csv",
                        monthly=tmp_path / "monthly.csv")
     code = main([*line.split(), "--output", str(tmp_path / "out")])
@@ -436,7 +452,8 @@ def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, b
     assert len(err) == 1 and err[0].startswith("error:")
     assert needle in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "daily.csv", "inf.csv", "ir.csv", "long.csv", "monthly.csv", "nan.csv", "spec.json"]
+        "daily.csv", "huge.json", "inf.csv", "ir.csv", "long.csv", "monthly.csv", "nan.csv",
+        "spec.json"]
 
 
 @pytest.mark.parametrize(
@@ -513,6 +530,36 @@ class TestFitCommand:
         payload = json.loads(out.read_text())
         assert payload["settings"]["model"] == "squarewave"
         assert {"t_wave", "amplitude"} <= set(payload["parameters"])
+
+    def test_simulate_and_fit_write_the_same_bytes_on_one_or_two_processes(self, tmp_path,
+                                                                           monkeypatch):
+        spec = tmp_path / "wave.json"
+        spec.write_text(json.dumps({
+            "variant": "square_wave_drift", "mu": 0.02, "amplitude": 0.05, "t_wave": 120,
+            "noise": {"variant": "iid_gaussian", "mu": 0.0, "sigma": 1.0}}))
+        rng = np.random.default_rng(98)
+        wave = 0.05 * np.where((np.arange(1, 701) % 120) <= 60, 1.0, -1.0)
+        src = tmp_path / "returns.csv"
+        write_series_csv(str(src), weekly_dates(dt.date(1995, 1, 6), 700),
+                         0.02 + wave + rng.standard_normal(700))
+        curve = tmp_path / "ir.csv"
+        assert main(["ir", "--input", str(src), "--output", str(curve), "--n-max", "150"]) == 0
+        written = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(strategy, "WORKERS", workers)
+            out = tmp_path / str(workers)
+            out.mkdir()
+            # 120 paths of 700 are a block of 93 paths and one of 27
+            assert main(["simulate", "--spec", str(spec), "--output", str(out / "mc.csv"),
+                         "--n-max", "150", "--paths", "120", "--length", "700",
+                         "--seed", "4"]) == 0
+            assert main(["fit", "--input", str(curve), "--output", str(out / "fit.json"),
+                         "--model", "squarewave", "--mu-fixed", "0.02", "--sigma-fixed", "1.0",
+                         "--t-min", "100", "--t-max", "140", "--t-step", "20", "--paths", "10",
+                         "--seed", "3"]) == 0
+            written[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(written[1]) == ["fit.json", "mc.csv"]
+        assert written[2] == written[1]
 
     def test_squarewave_fit_of_averaged_curve_names_length(self, tmp_path, capsys):
         # samples counts regimes on an averaged curve, not payoffs

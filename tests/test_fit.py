@@ -1,3 +1,4 @@
+import contextlib
 import json
 import warnings
 
@@ -234,15 +235,22 @@ class TestFitSquareWave:
             fit_square_wave(empirical, 0.075, 1.5, t_range=(200, 100, 10), seed=0)
 
     def test_budget_exhaustion_raises(self, empirical, monkeypatch):
-        # The budget caps scored candidates inside a period cell, not whole cells.
+        # The budget caps scored candidates inside a period cell, not whole cells;
+        # each scored candidate is one call of the shards, made in this process.
         scored = []
+        sharded = fit_mod.sharded
 
-        def counting_ir_matrix(x, ns):
-            scored.append(len(ns))
-            return ir_matrix(x, ns)
+        @contextlib.contextmanager
+        def counting_sharded(work, rows):
+            with sharded(work, rows) as run:
+                def counting_run(candidate):
+                    scored.append(candidate)
+                    return run(candidate)
+
+                yield counting_run
 
         monkeypatch.setattr(fit_mod, "MAX_EVALUATIONS", 3)
-        monkeypatch.setattr(fit_mod, "ir_matrix", counting_ir_matrix)
+        monkeypatch.setattr(fit_mod, "sharded", counting_sharded)
         with pytest.raises(RuntimeError, match="budget"):
             fit_square_wave(
                 empirical, mu_fixed=0.075, sigma_fixed=1.5, t_range=(140, 220, 10),

@@ -1,7 +1,7 @@
+import contextlib
 import math
 import os
 import signal
-import sys
 import threading
 import time
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from momir import strategy
 from momir.fit import fit_square_wave
-from momir.simulate import IidGaussian, SquareWaveDrift, mc_ir_curve
+from momir.simulate import IidGaussian, InfeasibleTargets, SquareWaveDrift, mc_ir_curve
 from momir.strategy import (
     DEGENERATE_SD_RTOL,
     IR_BLOCK_ELEMENTS,
@@ -260,62 +260,152 @@ class TestIrKernel:
 
 
 @pytest.fixture
-def pool_entries(monkeypatch):
-    """Each entry to the kernel's pool, on a fresh pool that is shut down afterwards."""
-    entries = []
-    make_pool = strategy._pool
+def forked(monkeypatch):
+    """The pid of each child that :func:`strategy.sharded` forks, in shard order."""
+    pids = []
+    fork_shard = strategy._fork_shard
 
-    def counting_pool():
-        entries.append(strategy.WORKERS)
-        return make_pool()
+    def counting_fork(*args):
+        child = fork_shard(*args)
+        pids.append(child[0])
+        return child
 
-    monkeypatch.setattr(strategy, "_POOL", None)
-    monkeypatch.setattr(strategy, "_pool", counting_pool)
-    yield entries
-    if strategy._POOL is not None:
-        strategy._POOL.shutdown()
+    monkeypatch.setattr(strategy, "_fork_shard", counting_fork)
+    return pids
 
 
-class TestIrKernelWorkers:
-    """Worker k scores lookbacks k, k + WORKERS, ...: the same bits at any worker count."""
+def reaped(pids) -> bool:
+    """Whether every pid is gone: no child of this process, running or a zombie."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
 
-    # 7 rows in blocks of 3 (a ragged last block of one row) and 11 lookbacks;
-    # or one-row blocks and 2 lookbacks, fewer than 3 or 5 workers.  Both
-    # include one payoff (m = 1) at N = 300 and a zero row and a constant row.
-    @pytest.mark.parametrize("block_elements, ns", [
-        (3 * 301, [1, 2, 3, 5, 8, 13, 21, 34, 50, 299, 300]),
-        (32, [2, 300]),
-    ], ids=["ragged-last-block", "fewer-lookbacks-than-workers"])
+
+@contextlib.contextmanager
+def within(seconds: int):
+    """Fail, instead of hanging, if the block takes more than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+class TestSharded:
+    """Rows scored in forked children are the bits of one process, and no child outlives a call."""
+
+    # 7 rows in blocks of 3 (a ragged last block of one row), or 2 rows, fewer
+    # than 3 or 5 workers; both include one payoff (m = 1) at N = 300, and the
+    # 7 rows a zero row and a constant row.
+    @pytest.mark.parametrize("rows, block_elements", [(7, 3 * 301), (2, 32)],
+                             ids=["ragged-last-block", "fewer-rows-than-workers"])
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.filterwarnings("ignore:Degrees of freedom")
-    def test_bit_identical_to_one_worker_and_numpy(self, monkeypatch, pool_entries,
-                                                   block_elements, ns, workers):
+    def test_bit_identical_to_one_process_and_numpy(self, monkeypatch, forked, rows,
+                                                    block_elements, workers):
         monkeypatch.setattr(strategy, "IR_BLOCK_ELEMENTS", block_elements)
-        x = np.random.default_rng(71).standard_normal((7, 301)) + 0.03
-        x[2] = 0.0
-        x[3] = 0.5
-        ns = np.array(ns)
-        monkeypatch.setattr(strategy, "WORKERS", 1)
-        one = _ir_stats(x, ns)
-        assert not pool_entries
-        monkeypatch.setattr(strategy, "WORKERS", workers)
-        # switch threads as often as the interpreter allows, so that two
-        # workers writing the same cell or buffer would show
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = _ir_stats(x, ns)
-        finally:
-            sys.setswitchinterval(interval)
-        assert bool(pool_entries) == (workers > 1)
-        for have, ref, want in zip(got, one, numpy_stats(x, ns)):
-            np.testing.assert_array_equal(have, ref)
-            np.testing.assert_array_equal(have, want)
-        assert np.isnan(got[2][2:4]).all() and np.isnan(got[1][:, -1]).all()
+        x = np.random.default_rng(71).standard_normal((rows, 301)) + 0.03
+        if rows == 7:
+            x[2] = 0.0
+            x[3] = 0.5
+        ns = np.array([1, 2, 3, 5, 8, 13, 21, 34, 50, 299, 300])
 
-    def test_monte_carlo_curve_and_square_wave_fits_match_one_worker(self, monkeypatch,
-                                                                     pool_entries):
+        def stats(part):
+            return np.concatenate(_ir_stats(x[part], ns), axis=1)
+
+        monkeypatch.setattr(strategy, "WORKERS", workers)
+        with within(60), strategy.sharded(stats, rows) as run:
+            got = np.split(run(), 3, axis=1)
+        assert len(forked) == (min(workers, rows) if workers > 1 else 0)
+        assert reaped(forked)
+        for have, one, want in zip(got, _ir_stats(x, ns), numpy_stats(x, ns)):
+            np.testing.assert_array_equal(have, one)
+            np.testing.assert_array_equal(have, want)
+        assert np.isnan(got[1][:, -1]).all()
+        if rows == 7:
+            assert np.isnan(got[2][2:4]).all()
+
+    @needs_fork
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_child_k_runs_on_the_kth_cpu_and_the_caller_keeps_its_own(self, monkeypatch,
+                                                                       forked):
+        cpus = sorted(os.sched_getaffinity(0))
+        monkeypatch.setattr(strategy, "WORKERS", 3)
+
+        def where(part):
+            return np.array([[part.start, os.getpid(), *sorted(os.sched_getaffinity(0))]])
+
+        with within(60), strategy.sharded(where, 3) as run:
+            got = run()
+        assert got[:, 0].tolist() == [0, 1, 2]
+        assert got[:, 1].tolist() == forked
+        assert [row[2:].tolist() for row in got] == [[cpus[k % len(cpus)]] for k in range(3)]
+        assert sorted(os.sched_getaffinity(0)) == cpus
+        assert reaped(forked)
+
+    def test_one_worker_scores_in_process(self, monkeypatch, forked):
+        monkeypatch.setattr(strategy, "WORKERS", 1)
+        with strategy.sharded(lambda part, k: np.array([[os.getpid(), k]]), 4) as run:
+            assert run(7).tolist() == [[os.getpid(), 7]]
+        assert not forked
+
+    @needs_fork
+    def test_a_shard_error_is_raised_after_every_reply_is_read(self, monkeypatch, forked):
+        # shard 1 answers with about 1 MB, more than a pipe holds, after shard 0 fails
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+
+        def work(part):
+            if not part.start:
+                raise InfeasibleTargets("shard 0 says no")
+            time.sleep(0.2)
+            return np.zeros((1, 2**17))
+
+        with within(60), strategy.sharded(work, 2) as run:
+            with pytest.raises(InfeasibleTargets, match="^shard 0 says no$"):
+                run()
+            assert len(forked) == 2
+        assert reaped(forked)
+
+    @needs_fork
+    def test_a_killed_child_raises_naming_its_shard(self, monkeypatch, forked):
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+
+        def work(part):
+            if part.start:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return np.zeros((1, 2**17))
+
+        with within(60), strategy.sharded(work, 2) as run:
+            with pytest.raises(RuntimeError, match=r"shard 1 of 2 \(pid \d+\) died before it "
+                                                   r"replied: killed by signal 9"):
+                run()
+        assert reaped(forked)
+
+    @needs_fork
+    def test_an_error_in_the_caller_reaps_every_child(self, monkeypatch, forked):
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+        with within(60), pytest.raises(KeyError):
+            with strategy.sharded(lambda part: np.zeros((1, 1)), 2):
+                raise KeyError("the caller's own error")
+        assert len(forked) == 2 and reaped(forked)
+
+    def test_monte_carlo_curve_and_square_wave_fits_match_one_process(self, monkeypatch,
+                                                                      forked):
         spec = SquareWaveDrift(0.075, 0.15, 180, IidGaussian(0.0, 1.5))
+        # blocks of 10 of the 25 paths: 3 blocks, the last one ragged
+        monkeypatch.setattr(strategy, "IR_BLOCK_ELEMENTS", 10 * 2000)
 
         def run():
             mc = mc_ir_curve(spec, (1, 43), paths=25, length=2000, seed=3)
@@ -328,49 +418,31 @@ class TestIrKernelWorkers:
 
         monkeypatch.setattr(strategy, "WORKERS", 1)
         mc_one, fits_one = run()
-        assert not pool_entries
-        monkeypatch.setattr(strategy, "WORKERS", 2)
-        mc_two, fits_two = run()
-        assert pool_entries
-        np.testing.assert_array_equal(mc_two.ir_mean, mc_one.ir_mean)
-        np.testing.assert_array_equal(mc_two.ir_se, mc_one.ir_se)
-        for two, one in zip(fits_two, fits_one):
-            assert (two.parameters, two.rss, two.iterations) == (one.parameters, one.rss,
-                                                                 one.iterations)
-            np.testing.assert_array_equal(two.fitted_ir, one.fitted_ir)
+        assert not forked
+        for workers in (2, 3, 5):
+            monkeypatch.setattr(strategy, "WORKERS", workers)
+            with within(120):
+                mc, fits = run()
+            # the Monte Carlo curve's 3 blocks, then one shard per worker for each fit
+            assert len(forked) == min(workers, 3) + 2 * workers
+            assert reaped(forked)
+            forked.clear()
+            np.testing.assert_array_equal(mc.ir_mean, mc_one.ir_mean)
+            np.testing.assert_array_equal(mc.ir_se, mc_one.ir_se)
+            for got, one in zip(fits, fits_one):
+                assert (got.parameters, got.rss, got.iterations) == (one.parameters, one.rss,
+                                                                     one.iterations)
+                np.testing.assert_array_equal(got.fitted_ir, one.fitted_ir)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_scores_on_its_own_pool(self, monkeypatch, pool_entries):
-        # the child inherits the parent's pool object but none of its threads
-        monkeypatch.setattr(strategy, "WORKERS", 2)
-        x = np.random.default_rng(73).standard_normal((20, 2000))
-        ns = np.arange(1, 44)
-        want = ir_matrix(x, ns)
-        assert pool_entries
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0 if np.array_equal(ir_matrix(x, ns), want, equal_nan=True) else 3)
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.01)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish scoring within 60 s")
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    def test_one_worker_and_regime_curves_start_no_thread(self, monkeypatch, pool_entries):
+    def test_ir_curve_and_ir_matrix_fork_nothing_and_start_no_thread(self, monkeypatch,
+                                                                     forked):
         rng = np.random.default_rng(72)
         threads = threading.active_count()
-        monkeypatch.setattr(strategy, "WORKERS", 1)
+        monkeypatch.setattr(strategy, "WORKERS", 2)
         ir_matrix(rng.standard_normal((20, 2000)), np.arange(1, 44))
         # ten years of weekly returns at the regimes command's default N 1..43
-        monkeypatch.setattr(strategy, "WORKERS", 2)
         ir_curve(rng.standard_normal(520), (1, 43))
-        assert not pool_entries and strategy._POOL is None
+        assert not forked
         assert threading.active_count() == threads
 
 
