@@ -181,8 +181,10 @@ def fit_square_wave(
     smallest rss.
     ``length`` defaults to the series length implied by the curve's sample
     counts, which must then satisfy samples + n = length on every row, as on
-    a curve written by ``ir``.  Raises if the period grid is empty, before
-    scoring a candidate beyond :data:`MAX_EVALUATIONS`, and, naming
+    a curve written by ``ir``.  Raises if the period grid is empty or, naming
+    ``--t-min``, ``--t-max`` and ``--t-step`` before the grid is built, longer
+    than :data:`MAX_EVALUATIONS` (each period scores at least one candidate);
+    before scoring a candidate beyond that budget; and, naming
     ``--mu-fixed`` and ``--sigma-fixed``, on a candidate too large for the
     IR kernel's float64 payoff moments.
     """
@@ -194,7 +196,13 @@ def fit_square_wave(
         raise ValueError("paths must be >= 2")
     if int(t_range[2]) < 1:
         raise ValueError(f"period grid step must be >= 1, got {t_range[2]}")
-    t_values = list(range(int(t_range[0]), int(t_range[1]) + 1, int(t_range[2])))
+    t_values = range(int(t_range[0]), int(t_range[1]) + 1, int(t_range[2]))
+    if t_values[MAX_EVALUATIONS:]:  # a slice, as len() overflows past sys.maxsize
+        raise ValueError(
+            f"--t-min {t_range[0]}, --t-max {t_range[1]} and --t-step {t_range[2]} give more "
+            f"than {MAX_EVALUATIONS} periods, but each period scores at least one candidate "
+            f"and the fit scores at most {MAX_EVALUATIONS}"
+        )
     if not t_values or any(t < 2 for t in t_values):
         raise ValueError(f"empty or invalid period grid from t_range={t_range}")
     ns, irs = _curve_points(empirical)
@@ -237,7 +245,7 @@ def fit_square_wave(
 
     def score_rows(part: slice, candidate: SquareWaveDrift) -> np.ndarray:
         x = series(candidate, rows[part]) if lags else drift(candidate, length) + rows[part]
-        return ir_matrix(x, ns)
+        return ir_matrix(x, ns, part.start)
 
     evaluations = 0
 

@@ -26,7 +26,6 @@ __all__ = [
     "RegimeCase",
     "RegimeStats",
     "detect_breakpoints",
-    "best_segmentation",
     "acf1",
     "regime_stats",
     "average_ir_curve",
@@ -142,21 +141,6 @@ def _segmentable(values, min_segment: int) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("segmentation: the series minus its first value is not finite")
     return np.ldexp(z, -np.frexp(np.max(np.abs(z)))[1])
-
-
-def best_segmentation(values, n_breaks: int, min_segment: int) -> tuple[int, ...]:
-    """Break indices of the globally optimal segmentation with exactly ``n_breaks`` breaks."""
-    y = _segmentable(values, min_segment)
-    if n_breaks < 0:
-        raise ValueError("n_breaks must be >= 0")
-    if len(y) < (n_breaks + 1) * min_segment:
-        raise ValueError(
-            f"series of length {len(y)} cannot hold {n_breaks + 1} segments of >= {min_segment}"
-        )
-    opt, argt = _dp_tables(y, min_segment, n_breaks)
-    if not np.isfinite(opt[n_breaks, len(y)]):
-        raise ValueError(f"no admissible placement of {n_breaks} breaks")
-    return _backtrack(argt, n_breaks, len(y))
 
 
 def detect_breakpoints(

@@ -318,7 +318,7 @@ def mc_ir_curve(
     def score_blocks(part: slice) -> np.ndarray:
         return np.concatenate([
             ir_matrix(series(spec, innovations(spec, min(step, paths - first), length, seed,
-                                               first)), ns)
+                                               first)), ns, first)
             for first in firsts[part]
         ])
 

@@ -69,14 +69,17 @@ def lookback_range(n_range: tuple[int, int], length: int | None = None) -> np.nd
     return np.arange(lo, hi + 1)
 
 
-def _finite(values, use: str) -> np.ndarray:
-    """``values`` as floats, failing on the first non-finite value, which ``use`` cannot take."""
+def _finite(values, use: str, first_row: int = 0) -> np.ndarray:
+    """``values`` as floats, failing on the first non-finite value, which ``use`` cannot take.
+
+    The rows of a matrix are numbered from ``first_row``.
+    """
     y = np.asarray(values, dtype=float)
     finite = np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
         row, col = divmod(i, y.shape[1]) if y.ndim == 2 else (None, i)
-        where = f"index {col}" if row is None else f"index {col} of row {row}"
+        where = f"index {col}" if row is None else f"index {col} of row {first_row + row}"
         raise ValueError(f"series value at {where} is {y.flat[i]}; {use} needs finite values")
     return y
 
@@ -281,7 +284,9 @@ def _exit_status(pid: int) -> str:
     return f"killed by signal {info.si_status}"
 
 
-def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ir_stats(
+    x: np.ndarray, ns: np.ndarray, first_row: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row payoff mean, sample sd and IR at each lookback, each (rows, len(ns)).
 
     The sd is NaN with fewer than two payoffs; the IR is NaN where the sd is
@@ -290,7 +295,8 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     statistic is bit-identical to those calls.  Each block of rows gets one
     prefix sum, shared by every lookback.  A mean that is not finite or an sd
     that is +inf means the payoffs' sums or squares overflowed, so it fails
-    naming its row and lookback rather than reporting an IR of 0 or NaN.
+    naming its row, numbered from ``first_row``, and lookback rather than
+    reporting an IR of 0 or NaN.
     """
     rows, length = x.shape
     mean = np.empty((rows, len(ns)))
@@ -316,8 +322,8 @@ def _ir_stats(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         r, i = np.argwhere(overflowed)[0]
         what, value = ("mean", mean[r, i]) if not np.isfinite(mean[r, i]) else ("sd", sd[r, i])
         raise ValueError(
-            f"payoff {what} of row {r} at lookback {ns[i]} is {value}: the series is too "
-            "large for float64 payoff moments"
+            f"payoff {what} of row {first_row + r} at lookback {ns[i]} is {value}: the series "
+            "is too large for float64 payoff moments"
         )
     return mean, sd, ir
 
@@ -337,17 +343,18 @@ def annualize(ir_per_period):
     return ir_per_period * math.sqrt(PERIODS_PER_YEAR)
 
 
-def ir_matrix(x_matrix: np.ndarray, lookbacks) -> np.ndarray:
+def ir_matrix(x_matrix: np.ndarray, lookbacks, first_row: int = 0) -> np.ndarray:
     """Per-row IR at each requested lookback, over a (rows, length) matrix.
 
     The same statistics as running ``ir_curve`` on every row.  Returns an
     array of shape (rows, len(lookbacks)) with NaN where the payoff sd
-    vanishes.
+    vanishes.  Errors number the rows from ``first_row``, so a caller scoring
+    one block of a larger draw names the draw's own row.
     """
-    x = _finite(x_matrix, "an IR matrix")
+    x = _finite(x_matrix, "an IR matrix", first_row)
     if x.ndim != 2:
         raise ValueError("expected a 2-d matrix of series")
-    return _ir_stats(x, check_lookbacks(lookbacks, x.shape[1]))[2]
+    return _ir_stats(x, check_lookbacks(lookbacks, x.shape[1]), first_row)[2]
 
 
 # ---------------------------------------------------------------------------

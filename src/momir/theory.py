@@ -13,9 +13,10 @@ assumption its moments are available in closed form:
 
 with S1 = sum_{i=1..N} rho(i) and S2 the sum of rho(|i-j|) over ordered pairs
 i != j in {1..N}, i.e. S2 = 2 * sum_{d=1..N-1} (N-d) * rho(d).  Two limits are
-exposed directly: the drift-only IR (all autocorrelations zero), which rises
-with N toward |mu|/sqrt(V), and the zero-drift IR, which depends only on the
-autocorrelations and typically humps at small N before 1/sqrt(N) takes over.
+special cases of :func:`theory_curve`: the drift-only IR (all autocorrelations
+zero), which rises with N toward |mu|/sqrt(V), and the zero-drift IR
+S1 / sqrt(N + S1^2 + S2), which depends only on the autocorrelations and
+typically humps at small N before 1/sqrt(N) takes over.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ __all__ = [
     "theoretical_ir",
     "theory_curve",
     "realizability_violation",
-    "ir_case1",
-    "ir_case2",
     "write_theory_curve_csv",
 ]
 
@@ -136,24 +135,6 @@ def theoretical_ir(profile: MomentProfile, n: int) -> TheoreticalIr:
     """Closed-form IR = E[R] / sqrt(Var(R)) at lookback N."""
     mean, variance, ir = (float(v[0]) for v in theory_curve(profile, [n]))
     return TheoreticalIr(n=n, mean=mean, variance=variance, ir=ir)
-
-
-def ir_case1(mu: float, variance: float, n: int) -> float:
-    """Drift-only IR (all autocorrelations zero).
-
-    mu^2 / sqrt(V mu^2 + V^2/N + mu^2 V / N); strictly increasing in N and
-    approaching |mu|/sqrt(V).  Zero drift gives exactly 0 for finite N.
-    """
-    return float(theory_curve(MomentProfile(mu, variance), [n])[2][0])
-
-
-def ir_case2(autocorr: Sequence[float], n: int) -> float:
-    """Zero-drift IR, driven entirely by autocorrelation.
-
-    S1 / sqrt(N + S1^2 + S2); independent of the process variance.
-    """
-    s1, s2 = (float(v[0]) for v in _rho_sums(autocorr, check_lookbacks([n])))
-    return s1 / math.sqrt(n + s1 * s1 + s2)
 
 
 # ---------------------------------------------------------------------------

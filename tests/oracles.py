@@ -2,8 +2,9 @@
 
 Nothing here may call into the code paths under test: moments come from raw
 multivariate-Gaussian sampling, payoffs from an explicit double loop, the
-variance formula from literal double sums, segmentation from exhaustive
-enumeration, and the square-wave IR from exact per-period payoff moments.
+variance formula and the zero-drift IR from literal double sums, segmentation
+from exhaustive enumeration, and the square-wave IR from exact per-period
+payoff moments.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ def eq_variance_literal(mu: float, variance: float, rho: tuple[float, ...], n: i
         + mu2 * v * (2.0 * s1 + mixed)
     )
     return total / (n * n)
+
+
+def zero_drift_ir_literal(rho: tuple[float, ...], n: int) -> float:
+    """Zero-drift IR S1 / sqrt(N + S1^2 + S2), from explicit loops over the lags.
+
+    S1 = sum of rho(i) over i = 1..N and S2 = sum of rho(|i - j|) over the
+    ordered pairs i != j; the process variance cancels.
+    """
+
+    def r(k: int) -> float:
+        return rho[k - 1] if 1 <= k <= len(rho) else 0.0
+
+    s1 = sum(r(i) for i in range(1, n + 1))
+    s2 = sum(r(abs(i - j)) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+    return s1 / math.sqrt(n + s1 * s1 + s2)
 
 
 def double_loop_backtest(values: np.ndarray, n: int) -> np.ndarray:

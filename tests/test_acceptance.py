@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from momir.fit import fit_moment_profile, fit_square_wave
-from momir.regimes import best_segmentation, detect_breakpoints
+from momir.regimes import detect_breakpoints
 from momir.simulate import (
     IidGaussian,
     MovingAverage,
@@ -21,13 +21,9 @@ from momir.simulate import (
     mc_ir_curve,
 )
 from momir.strategy import IrCurve, annualize, backtest, ir_standard_error
-from momir.theory import (
-    MomentProfile,
-    ir_case1,
-    ir_case2,
-    theoretical_ir,
-)
+from momir.theory import MomentProfile, theoretical_ir, theory_curve
 
+from fixed_breaks import fixed_breaks
 from oracles import (
     brute_force_breaks,
     double_loop_backtest,
@@ -38,6 +34,7 @@ from oracles import (
     square_wave_ir_limit,
     toeplitz_covariance,
     variance_with_se,
+    zero_drift_ir_literal,
 )
 
 
@@ -102,7 +99,7 @@ def test_closed_form_moments_match_sampling_oracle():
 
 
 def test_drift_only_ir_asymptote():
-    values = np.array([ir_case1(0.1, 1.0, n) for n in range(1, 1001)])
+    values = theory_curve(MomentProfile(0.1, 1.0), range(1, 1001))[2]
     increasing = bool(np.all(np.diff(values) > 0.0))
     limit_gap = abs(values[-1] - 0.1)
     report(
@@ -123,7 +120,7 @@ def test_zero_drift_ir_variance_independence():
     worst = 0.0
     for n in range(1, 51):
         irs = [theoretical_ir(MomentProfile(0.0, v, rho), n).ir for v in (0.1, 1.0, 100.0)]
-        worst = max(worst, max(irs) - min(irs), *(abs(x - ir_case2(rho, n)) for x in irs))
+        worst = max(worst, max(irs) - min(irs), *(abs(x - zero_drift_ir_literal(rho, n)) for x in irs))
     report(
         "zero-drift IR variance independence",
         worst <= 1e-12,
@@ -141,7 +138,7 @@ def test_zero_drift_ir_variance_independence():
 
 def test_zero_drift_worked_example_against_oracle():
     rho = (0.05, 0.02)
-    formula = ir_case2(rho, 2)
+    formula = float(theory_curve(MomentProfile(0.0, 1.0, rho), [2])[2][0])
     corr = toeplitz_covariance(1.0, rho, 3)
     z = np.random.default_rng(424242).standard_normal((ORACLE_SAMPLES, 3)) @ np.linalg.cholesky(corr).T
     pays = payoffs_from_correlated_normals(z, 0.0, 1.0)
@@ -243,7 +240,7 @@ def test_dp_matches_exhaustive_search():
         n = int(rng.integers(32, 61))
         n_breaks = 1 + case % 2
         y = np.cumsum(rng.standard_normal(n)) + 0.3 * np.arange(n)
-        got = best_segmentation(y, n_breaks, min_segment=8)
+        got = fixed_breaks(y, n_breaks, min_segment=8)
         breaks, sse = brute_force_breaks(y, n_breaks, min_segment=8)
         rss = spans_sse(y, got)
         same = got == breaks and math.isclose(rss, sse, rel_tol=1e-9, abs_tol=1e-9)
@@ -325,7 +322,7 @@ def test_square_wave_ir_oscillation():
 def test_flat_square_wave_limit_is_case1():
     ns = np.arange(1, 401)
     limit = square_wave_ir_limit(0.075, 0.0, 180, 1.5, ns, 6068)
-    case1 = np.array([ir_case1(0.075, 2.25, int(n)) for n in ns])
+    case1 = theory_curve(MomentProfile(0.075, 2.25), ns)[2]
     rel = np.max(np.abs(limit / case1 - 1.0))
     report("flat square-wave limit equals Case I", bool(rel <= 1e-12), f"max relative gap {rel:.2e}")
 

@@ -398,6 +398,8 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "--fixed-sd 1e-300 must be positive"),
         ("fit --input {curve} --model stationary --k-lags 1 --fixed-sd 1e100", None,
          "--fixed-sd 1e+100 must be positive"),
+        ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed 1 --t-max 1000000000",
+         None, "--t-min 100, --t-max 1000000000 and --t-step 10 give more than 20000 periods"),
         (OVERFLOWING[0], None, "payoff sd of row 0 at lookback 1 is inf"),
         (OVERFLOWING[1], None, "--mu-fixed 1e+80 and --sigma-fixed 1.5 give candidate series"),
         (OVERFLOWING[2], None, "--mu-fixed 1e+307 and --sigma-fixed 1.5 give candidate series"),
@@ -410,8 +412,9 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "simulate-negative-seed", "regimes-zero-min-weeks", "theory-overflowing-mu",
          "theory-underflowing-variance", "theory-subnormal-variance", "theory-infinite-variance",
          "overflowing-mu-fixed", "overflowing-fixed-sd", "underflowing-fixed-sd",
-         "fixed-sd-overflowing-closed-form", "simulate-overflowing-payoff-sd",
-         "fit-overflowing-payoff-sd", "fit-overflowing-prefix-sums"],
+         "fixed-sd-overflowing-closed-form", "oversized-period-grid",
+         "simulate-overflowing-payoff-sd", "fit-overflowing-payoff-sd",
+         "fit-overflowing-prefix-sums"],
 )
 def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, bad_row, needle):
     month_ends = [dt.date(1990 + m // 12, m % 12 + 1, 1) - dt.timedelta(days=1)

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,12 +252,35 @@ class TestFitSquareWave:
 
         monkeypatch.setattr(fit_mod, "MAX_EVALUATIONS", 3)
         monkeypatch.setattr(fit_mod, "sharded", counting_sharded)
+        # three periods, as many as the budget admits
         with pytest.raises(RuntimeError, match="budget"):
             fit_square_wave(
-                empirical, mu_fixed=0.075, sigma_fixed=1.5, t_range=(140, 220, 10),
+                empirical, mu_fixed=0.075, sigma_fixed=1.5, t_range=(140, 160, 10),
                 paths=20, seed=1,
             )
         assert len(scored) == 3
+
+    @pytest.mark.parametrize("t_max", [20_100, 10**9, 10**30])
+    def test_grid_over_the_budget_fails_before_it_is_built(self, empirical, t_max):
+        # Each period scores at least one candidate, so 20000 periods from
+        # t = 100 are the most a fit can finish; 10^30 is past len()'s range.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="--t-min 100, --t-max .* and --t-step 1 give"):
+                fit_square_wave(empirical, 0.075, 1.5, t_range=(100, t_max, 1), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+    def test_overflow_names_the_path(self):
+        # The second candidate scored overflows on path 239 alone (each path
+        # checked alone); with two or more shards that is row 89 of the second.
+        curve = curve_from_profile(MomentProfile(0.0, 1.0, (0.05,)), n_max=5)
+        with pytest.raises(ValueError, match="payoff sd of row 239 at lookback 1 is inf"):
+            fit_square_wave(curve, mu_fixed=0.0, sigma_fixed=2.1e76, t_range=(100, 100, 10),
+                            paths=300, length=500, seed=1)
 
 
 class TestSquareWaveLength:

@@ -29,8 +29,8 @@ MODULE_ALL = {
     "cli": [],
     "fit": ["FitResult", "fit_moment_profile", "fit_square_wave", "write_fit_result_json"],
     "regimes": [
-        "RegimeCase", "RegimeStats", "acf1", "average_ir_curve", "best_segmentation",
-        "detect_breakpoints", "regime_stats", "weekly_segmentation", "write_regime_report_csv",
+        "RegimeCase", "RegimeStats", "acf1", "average_ir_curve", "detect_breakpoints",
+        "regime_stats", "weekly_segmentation", "write_regime_report_csv",
     ],
     "simulate": [
         "IidGaussian", "McIrCurve", "MovingAverage", "ProcessSpec", "SquareWaveDrift",
@@ -42,8 +42,8 @@ MODULE_ALL = {
         "ir_standard_error", "lookback_range", "read_ir_curve_csv", "write_ir_curve_csv",
     ],
     "theory": [
-        "MomentProfile", "TheoreticalIr", "ir_case1", "ir_case2", "realizability_violation",
-        "theoretical_ir", "theory_curve", "write_theory_curve_csv",
+        "MomentProfile", "TheoreticalIr", "realizability_violation", "theoretical_ir",
+        "theory_curve", "write_theory_curve_csv",
     ],
     "timeseries": [
         "DatedSeries", "last_per_key", "log_returns", "normalize", "read_csv", "read_price_csv",
@@ -94,3 +94,39 @@ def test_every_dataclass_field_is_read_outside_its_own_class():
         if not read:
             unread.append(f"{module}:{cls.name}.{field}")
     assert not unread, f"dataclass fields no code reads: {unread}"
+
+
+# Public names that no program path calls.  Each is kept only because the
+# benchmark looks it up by name, and goes when the benchmark stops doing so.
+NO_PROGRAM_CALLER = [
+    "strategy.backtest",  # traced by name in bench/tracer.py
+    "theory.theoretical_ir",  # traced by name in bench/tracer.py
+]
+
+
+def test_every_all_name_is_referenced_outside_its_own_definition():
+    # A public name that only tests call is an entry point the program does
+    # not need.  A reference is a name or attribute in code, not a docstring.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uncalled = []
+    for module, tree in trees.items():
+        for name in getattr(importlib.import_module(f"momir.{module}"), "__all__", []):
+            own = {
+                id(n) for stmt in tree.body if name in _defined_names(stmt) for n in ast.walk(stmt)
+            }
+            used = any(
+                ((isinstance(n, ast.Name) and n.id == name)
+                 or (isinstance(n, ast.Attribute) and n.attr == name)) and id(n) not in own
+                for other in trees.values() for n in ast.walk(other)
+            )
+            if not used:
+                uncalled.append(f"{module}.{name}")
+    assert uncalled == NO_PROGRAM_CALLER
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class or assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]

@@ -11,7 +11,6 @@ from momir.regimes import (
     RegimeCase,
     acf1,
     average_ir_curve,
-    best_segmentation,
     detect_breakpoints,
     regime_stats,
     weekly_segmentation,
@@ -20,6 +19,7 @@ from momir.regimes import (
 from momir.strategy import Z95, IrCurve, ir_curve
 from momir.timeseries import DatedSeries, last_per_key
 
+from fixed_breaks import fixed_breaks
 from oracles import brute_force_breaks, full_row_dp_tables, sample_acf, segment_sse, spans_sse
 
 
@@ -65,8 +65,8 @@ class TestDetectBreakpoints:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("segment", [
         lambda y: detect_breakpoints(y, min_segment=12),
-        lambda y: best_segmentation(y, 2, 12),
-    ], ids=["detect_breakpoints", "best_segmentation"])
+        lambda y: fixed_breaks(y, 2, 12),
+    ], ids=["detect_breakpoints", "fixed_breaks"])
     def test_non_finite_value_fails_naming_its_index(self, bad, segment):
         y = np.cumsum(np.random.default_rng(50).standard_normal(100))
         y[50] = bad
@@ -75,8 +75,8 @@ class TestDetectBreakpoints:
 
     @pytest.mark.parametrize("segment", [
         lambda y: detect_breakpoints(y, min_segment=12),
-        lambda y: best_segmentation(y, 2, 12),
-    ], ids=["detect_breakpoints", "best_segmentation"])
+        lambda y: fixed_breaks(y, 2, 12),
+    ], ids=["detect_breakpoints", "fixed_breaks"])
     def test_overflowing_shift_fails_naming_it(self, segment):
         y = np.cumsum(np.random.default_rng(50).standard_normal(100))
         y[0], y[60] = -1e308, 1e308
@@ -86,7 +86,7 @@ class TestDetectBreakpoints:
     def test_more_breaks_never_increase_rss(self):
         rng = np.random.default_rng(4)
         y = np.cumsum(rng.standard_normal(120))
-        rss = [spans_sse(y, best_segmentation(y, k, 10)) for k in range(0, 5)]
+        rss = [spans_sse(y, fixed_breaks(y, k, 10)) for k in range(0, 5)]
         for a, b in zip(rss, rss[1:]):
             assert b <= a + 1e-9
 
@@ -112,7 +112,7 @@ class TestBreakProperties:
         y = np.cumsum(np.random.default_rng(seed).normal(drift, 1.0, n))
         assert_breaks_tile(detect_breakpoints(y, min_segment=min_segment), n, min_segment)
         k = seed % (n // min_segment)
-        breaks = best_segmentation(y, k, min_segment)
+        breaks = fixed_breaks(y, k, min_segment)
         assert len(breaks) == k
         assert_breaks_tile(breaks, n, min_segment)
 
@@ -191,10 +191,9 @@ class TestScaleInvariance:
         moved = [s for s in self.SCALES if detect_breakpoints(s * self.WALK) != want]
         assert not moved
 
-    def test_best_segmentation_keeps_breaks_at_every_scale(self):
-        want = best_segmentation(self.WALK, 27, 12)
-        moved = [s for s in self.SCALES
-                 if best_segmentation(s * self.WALK, 27, 12) != want]
+    def test_fixed_break_count_keeps_breaks_at_every_scale(self):
+        want = fixed_breaks(self.WALK, 27, 12)
+        moved = [s for s in self.SCALES if fixed_breaks(s * self.WALK, 27, 12) != want]
         assert not moved
 
 
@@ -218,7 +217,7 @@ class TestDpOptimality:
         rng = np.random.default_rng(900 + seed)
         n = int(rng.integers(36, 55))
         y = np.cumsum(rng.standard_normal(n)) + 0.5 * np.arange(n)
-        got = best_segmentation(y, k, min_segment=8)
+        got = fixed_breaks(y, k, min_segment=8)
         breaks, sse = brute_force_breaks(y, k, min_segment=8)
         assert got == breaks
         assert spans_sse(y, got) == pytest.approx(sse, rel=1e-9, abs=1e-9)

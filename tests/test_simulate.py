@@ -21,7 +21,7 @@ from momir.simulate import (
     write_mc_ir_curve_csv,
 )
 from momir.strategy import block_rows, ir_curve, ir_matrix
-from momir.theory import ir_case1
+from momir.theory import MomentProfile, theory_curve
 
 from oracles import sample_acf
 
@@ -229,10 +229,16 @@ class TestMcIrCurve:
         curve = mc_ir_curve(
             IidGaussian(0.075, 1.5), (1, 200), paths=120, length=4000, seed=6
         )
-        for n in (10, 50, 200):
-            want = ir_case1(0.075, 1.5**2, n)
+        case1 = theory_curve(MomentProfile(0.075, 1.5**2), [10, 50, 200])[2]
+        for n, want in zip((10, 50, 200), case1):
             idx = n - 1
             assert abs(curve.ir_mean[idx] - want) < 3 * curve.ir_se[idx] + 2e-3
+
+    def test_overflow_names_the_path(self):
+        # Only path 239 overflows (each path checked alone); it is row 108 of
+        # the block that starts at path 131.
+        with pytest.raises(ValueError, match="payoff sd of row 239 at lookback 1 is inf"):
+            mc_ir_curve(IidGaussian(0.0, 2.2e76), (1, 5), paths=300, length=500, seed=1)
 
     def test_reproducible_and_path_derived(self):
         spec = IidGaussian(0.0, 1.0)

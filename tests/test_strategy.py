@@ -27,9 +27,9 @@ from momir.strategy import (
     read_ir_curve_csv,
     write_ir_curve_csv,
 )
-from momir.theory import MomentProfile, ir_case1, ir_case2, theory_curve
+from momir.theory import MomentProfile, theory_curve
 
-from oracles import double_loop_backtest
+from oracles import double_loop_backtest, zero_drift_ir_literal
 
 
 class TestBacktest:
@@ -110,7 +110,7 @@ class TestIrCurve:
         x = mu + sigma * rng.standard_normal(60_000)
         curve = ir_curve(x, (1, 60))
         assert curve.ir[-1] > curve.ir[9] > curve.ir[0]
-        want = ir_case1(mu, sigma**2, 60)
+        want = theory_curve(MomentProfile(mu, sigma**2), [60])[2][0]
         assert curve.ir[-1] == pytest.approx(want, rel=0.05)
 
     def test_ma_correlated_series_hump(self):
@@ -126,10 +126,10 @@ class TestIrCurve:
             for k in range(1, len(coeffs))
         ]
         peak_n = int(curve.n[np.nanargmax(curve.ir)])
-        theory_peak = max(range(1, 41), key=lambda n: ir_case2(rho, n))
+        theory_peak = max(range(1, 41), key=lambda n: zero_drift_ir_literal(rho, n))
         assert abs(peak_n - theory_peak) <= 3
         assert curve.ir[-1] < np.nanmax(curve.ir)
-        want = [ir_case2(rho, int(n)) for n in curve.n]
+        want = [zero_drift_ir_literal(rho, int(n)) for n in curve.n]
         assert np.allclose(curve.ir, want, atol=0.02)
 
     def test_degenerate_payoffs_flagged_not_infinite(self):
@@ -193,6 +193,17 @@ class TestIrMatrix:
         with pytest.raises(ValueError,
                            match=f"index 50 of row 2 is {bad}; an IR matrix needs finite"):
             ir_matrix(x, [1, 5])
+
+    def test_errors_number_the_rows_from_the_first_row(self):
+        # A block of a larger draw names the draw's row: 131 + 2 and 131 + 1.
+        x = np.random.default_rng(50).standard_normal((3, 100))
+        x[2, 50] = np.inf
+        with pytest.raises(ValueError, match="index 50 of row 133 is inf"):
+            ir_matrix(x, [1, 5], first_row=131)
+        x[2, 50] = 0.0
+        x[1] *= 1e80
+        with pytest.raises(ValueError, match="payoff sd of row 132 at lookback 1 is inf"):
+            ir_matrix(x, [1, 5], first_row=131)
 
     @pytest.mark.parametrize("length, blocks", [(2000, 3), (IR_BLOCK_ELEMENTS + 100, 3)],
                              ids=["multi-row-blocks", "one-row-blocks"])

@@ -6,10 +6,9 @@ import pytest
 from momir.theory import (
     MAX_THEORY_N,
     MomentProfile,
-    ir_case1,
-    ir_case2,
     realizability_violation,
     theoretical_ir,
+    theory_curve,
     write_theory_curve_csv,
 )
 
@@ -19,6 +18,7 @@ from oracles import (
     mean_with_se,
     sample_strategy_payoffs,
     variance_with_se,
+    zero_drift_ir_literal,
 )
 
 PROFILES = [
@@ -135,14 +135,16 @@ class TestTheoreticalIr:
 
     def test_case1_consistency_is_exact(self):
         p = MomentProfile(0.17, 1.3)
+        case1 = theory_curve(MomentProfile(0.17, 1.3), range(1, 51))[2]
         for n in range(1, 51):
-            assert theoretical_ir(p, n).ir == ir_case1(0.17, 1.3, n)
+            assert theoretical_ir(p, n).ir == case1[n - 1]
 
     def test_case2_consistency(self):
         rho = (0.05, 0.02, -0.01)
         p = MomentProfile(0.0, 3.0, rho)
         for n in range(1, 51):
-            assert theoretical_ir(p, n).ir == pytest.approx(ir_case2(rho, n), rel=1e-13)
+            want = zero_drift_ir_literal(rho, n)
+            assert theoretical_ir(p, n).ir == pytest.approx(want, rel=1e-13)
 
     def test_scale_invariance_of_ir(self):
         rho = (0.1, 0.05)
@@ -162,33 +164,41 @@ class TestTheoreticalIr:
 
 
 class TestCase1:
+    # The drift-only limit: the closed form at zero autocorrelation.
     def test_zero_drift(self):
-        assert ir_case1(0.0, 1.0, 5) == 0.0
+        assert theory_curve(MomentProfile(0.0, 1.0), [5])[2][0] == 0.0
 
     def test_unit_point(self):
-        assert ir_case1(1.0, 1.0, 1) == pytest.approx(1 / math.sqrt(3), abs=1e-15)
+        ir = theory_curve(MomentProfile(1.0, 1.0), [1])[2][0]
+        assert ir == pytest.approx(1 / math.sqrt(3), abs=1e-15)
 
     def test_large_n_limit(self):
-        assert ir_case1(0.4, 2.0, 10_000_000) == pytest.approx(0.4 / math.sqrt(2.0), rel=1e-5)
+        ir = theory_curve(MomentProfile(0.4, 2.0), [10_000_000])[2][0]
+        assert ir == pytest.approx(0.4 / math.sqrt(2.0), rel=1e-5)
 
     def test_strictly_increasing_in_n(self):
-        values = [ir_case1(0.1, 1.0, n) for n in range(1, 1001)]
+        values = theory_curve(MomentProfile(0.1, 1.0), range(1, 1001))[2]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestCase2:
+    # The zero-drift limit: the closed form at mu = 0 against literal sums.
     def test_zero_correlation(self):
-        assert all(ir_case2((), n) == 0.0 for n in range(1, 10))
+        irs = theory_curve(MomentProfile(0.0, 1.0), range(1, 10))[2]
+        assert all(ir == zero_drift_ir_literal((), n) == 0.0 for n, ir in enumerate(irs, 1))
 
     def test_worked_example_value(self):
         # frozen from the sampling oracle (see acceptance suite)
-        assert ir_case2((0.05, 0.02), 2) == pytest.approx(0.0482483322304473, abs=1e-15)
+        rho = (0.05, 0.02)
+        library = theory_curve(MomentProfile(0.0, 1.0, rho), [2])[2][0]
+        for ir in (library, zero_drift_ir_literal(rho, 2)):
+            assert ir == pytest.approx(0.0482483322304473, abs=1e-15)
 
     def test_variance_plays_no_role(self):
         rho = (0.05, 0.02)
         irs = [theoretical_ir(MomentProfile(0.0, v, rho), 4).ir for v in (0.1, 1.0, 100.0)]
         assert max(irs) - min(irs) < 1e-12
-        assert irs[0] == pytest.approx(ir_case2(rho, 4), rel=1e-13)
+        assert irs[0] == pytest.approx(zero_drift_ir_literal(rho, 4), rel=1e-13)
 
 
 def test_theory_csv_shape(tmp_path):
