@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .strategy import IrCurve, ir_matrix, sharded
+from .strategy import IrCurve
 from .simulate import (
-    IidGaussian, InfeasibleTargets, MovingAverage, SquareWaveDrift, drift, innovations,
-    ma_from_target_acf, series,
+    IidGaussian, InfeasibleTargets, MovingAverage, SquareWaveDrift, ma_from_target_acf,
+    scored_paths,
 )
 from .theory import MomentProfile, realizability_violation, theory_curve
 from .timeseries import atomic_write_text
@@ -171,22 +171,18 @@ def fit_square_wave(
     target autocorrelations at :data:`MA_TARGET_LAGS` when
     ``noise_kind == 'ma_targets'``.  One builder turns (period, theta) into a
     process spec.  Candidates are scored by a seeded common-random-numbers
-    Monte Carlo estimate of the model IR curve at the empirical lookbacks:
-    every candidate series is built as :func:`momir.simulate.series` builds
-    it from one innovation matrix, drawn from the seed and sized by the
+    Monte Carlo estimate of the model IR curve at the empirical lookbacks,
+    by :func:`momir.simulate.scored_paths` on one kept draw, sized by the
     builder's spec at theta = 0, so re-scoring identical parameters is
-    bit-stable.  The matrix's rows are scored on
-    :func:`momir.strategy.sharded`'s processes; the specs, the search and the
-    evaluation count stay in this one.  The best cell is the first with the
-    smallest rss.
+    bit-stable.  The best cell is the first with the smallest rss.
     ``length`` defaults to the series length implied by the curve's sample
     counts, which must then satisfy samples + n = length on every row, as on
-    a curve written by ``ir``.  Raises if the period grid is empty or, naming
-    ``--t-min``, ``--t-max`` and ``--t-step`` before the grid is built, longer
-    than :data:`MAX_EVALUATIONS` (each period scores at least one candidate);
-    before scoring a candidate beyond that budget; and, naming
-    ``--mu-fixed`` and ``--sigma-fixed``, on a candidate too large for the
-    IR kernel's float64 payoff moments.
+    a curve written by ``ir``.  Raises, naming ``--t-min``, ``--t-max`` and
+    ``--t-step`` before the grid is built, if the period grid is empty, holds
+    a period below 2 or is longer than :data:`MAX_EVALUATIONS` (each period
+    scores at least one candidate); before scoring a candidate beyond that
+    budget; and, naming ``--mu-fixed`` and ``--sigma-fixed``, on a candidate
+    too large for the IR kernel's float64 payoff moments.
     """
     if noise_kind not in ("iid", "ma_targets"):
         raise ValueError(f"noise_kind must be 'iid' or 'ma_targets', got {noise_kind!r}")
@@ -194,17 +190,16 @@ def fit_square_wave(
         raise ValueError("sigma_fixed must be positive")
     if paths < 2:
         raise ValueError("paths must be >= 2")
-    if int(t_range[2]) < 1:
-        raise ValueError(f"period grid step must be >= 1, got {t_range[2]}")
-    t_values = range(int(t_range[0]), int(t_range[1]) + 1, int(t_range[2]))
+    t_min, t_max, t_step = (int(t) for t in t_range)
+    grid = f"--t-min {t_min}, --t-max {t_max} and --t-step {t_step}"
+    if not 2 <= t_min <= t_max or t_step < 1:
+        raise ValueError(f"{grid} give no period grid with periods >= 2 and a step >= 1")
+    t_values = range(t_min, t_max + 1, t_step)
     if t_values[MAX_EVALUATIONS:]:  # a slice, as len() overflows past sys.maxsize
         raise ValueError(
-            f"--t-min {t_range[0]}, --t-max {t_range[1]} and --t-step {t_range[2]} give more "
-            f"than {MAX_EVALUATIONS} periods, but each period scores at least one candidate "
-            f"and the fit scores at most {MAX_EVALUATIONS}"
+            f"{grid} give more than {MAX_EVALUATIONS} periods, but each period scores at "
+            f"least one candidate and the fit scores at most {MAX_EVALUATIONS}"
         )
-    if not t_values or any(t < 2 for t in t_values):
-        raise ValueError(f"empty or invalid period grid from t_range={t_range}")
     ns, irs = _curve_points(empirical)
     if length is None:
         implied = np.unique(empirical.samples + empirical.n)
@@ -236,23 +231,12 @@ def fit_square_wave(
             noise = IidGaussian(0.0, sigma_fixed)
         return SquareWaveDrift(mu_fixed, theta[0], float(t_wave), noise)
 
-    # Every candidate is built from this one draw (common random numbers).
-    # iid noise does not depend on theta, so it is built once, before the
-    # shards fork; each candidate adds its drift in series' own order.
-    rows = innovations(spec(t_values[0], np.zeros(1 + len(lags))), paths, length, seed)
-    if not lags:
-        rows = series(IidGaussian(0.0, sigma_fixed), rows)
-
-    def score_rows(part: slice, candidate: SquareWaveDrift) -> np.ndarray:
-        x = series(candidate, rows[part]) if lags else drift(candidate, length) + rows[part]
-        return ir_matrix(x, ns, part.start)
-
     evaluations = 0
 
     def curve(t_wave: int, theta) -> np.ndarray:
         candidate = spec(t_wave, theta)
         try:
-            return run(candidate).mean(axis=0)
+            return scored(candidate).mean(axis=0)
         except ValueError as exc:
             raise ValueError(
                 f"--mu-fixed {mu_fixed} and --sigma-fixed {sigma_fixed} give candidate series "
@@ -277,7 +261,8 @@ def fit_square_wave(
         return float(diff @ diff)
 
     cells = []
-    with sharded(score_rows, paths) as run:
+    template = spec(t_values[0], np.zeros(1 + len(lags)))
+    with scored_paths(template, ns, paths, length, seed, keep=True) as scored:
         for t_wave in t_values:
             if lags:
                 res = optimize.minimize(

@@ -14,11 +14,12 @@ so paths can be evaluated in any order with identical results.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "theoretical_acf_of_ma",
     "ma_from_target_acf",
     "mc_ir_curve",
+    "scored_paths",
     "load_process_spec",
     "write_mc_ir_curve_csv",
 ]
@@ -172,8 +174,7 @@ def innovations(spec: ProcessSpec, paths: int, length: int, seed, first: int = 0
 def series(spec: ProcessSpec, eta: np.ndarray) -> np.ndarray:
     """The process built from standard-normal innovations ``eta``, time on the last axis.
 
-    Equal innovations give bit-identical series, so a fit that varies the
-    parameters over one draw compares candidates with common random numbers.
+    Equal innovations give bit-identical series.
     """
     if isinstance(spec, IidGaussian):
         return spec.mu + spec.sigma * eta
@@ -279,15 +280,46 @@ class McIrCurve:
     length: int
     seed: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=int))
-        object.__setattr__(self, "ir_mean", np.asarray(self.ir_mean, dtype=float))
-        object.__setattr__(self, "ir_se", np.asarray(self.ir_se, dtype=float))
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-
     def __len__(self) -> int:
         return len(self.n)
+
+
+@contextlib.contextmanager
+def scored_paths(template: ProcessSpec, ns: np.ndarray, paths: int, length: int, seed,
+                 keep: bool = False) -> Iterator[Callable[[ProcessSpec], np.ndarray]]:
+    """Yield ``score(spec)``: every path's IRs at ``ns`` on ``spec``, (paths, len(ns)).
+
+    Path k's series is :func:`series` of ``spec`` on path k's draw, sized by
+    ``template``.  Each of :func:`momir.strategy.sharded`'s shards draws,
+    builds and scores its own part of the paths: streamed, a block of
+    :func:`momir.strategy.block_rows` at a time, each dropped once scored;
+    with ``keep``, drawn whole once and kept across calls (common random
+    numbers), with its noise series while the noise spec repeats, so the
+    whole draw must fit :data:`MAX_DRAW_ELEMENTS`.
+    """
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
+    _width(template, length, paths if keep else 1)
+    step = paths if keep else block_rows(length)
+    kept = {}  # a kept part's first path -> (its draw, noise spec, noise series)
+
+    def score(part: slice, spec: ProcessSpec) -> np.ndarray:
+        noise = spec.noise if isinstance(spec, SquareWaveDrift) else spec
+        irs = []
+        for first in range(part.start, part.stop, step):
+            eta, built, x = kept.get(first) or (innovations(
+                template, min(step, part.stop - first), length, seed, first), None, None)
+            if built != noise:
+                x = series(noise, eta)
+            if keep:
+                kept[first] = (eta, noise, x)
+            if noise is not spec:
+                x = drift(spec, x.shape[-1]) + x
+            irs.append(ir_matrix(x, ns, first))
+        return np.concatenate(irs)
+
+    with sharded(score, paths) as run:
+        yield run
 
 
 def mc_ir_curve(
@@ -299,31 +331,14 @@ def mc_ir_curve(
 ) -> McIrCurve:
     """Average the per-path IR curve over independently seeded realizations.
 
-    Each path draws its own series (:func:`innovations`, :func:`series`) and is run
-    through the momentum strategy at every lookback in the range; the MC
-    standard error is the cross-path standard deviation over sqrt(paths).
-    Paths are drawn, built and scored one block at a time
-    (:func:`momir.strategy.block_rows`), so the draw does not grow with
-    ``paths``; the per-path IR table does, up to :data:`MAX_DRAW_ELEMENTS`.
-    The blocks are shared out in runs to :func:`momir.strategy.sharded`'s
-    processes; each path's IRs do not depend on which process scores it.
+    The per-path IRs at every lookback in the range come from
+    :func:`scored_paths`, streamed; the MC standard error is their
+    cross-path standard deviation over sqrt(paths).
     """
     ns = lookback_range(n_range, length)
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
     _check_budget(paths, len(ns), "per-path IRs", "--paths or --n-max")
-    step = block_rows(length)
-    firsts = range(0, paths, step)
-
-    def score_blocks(part: slice) -> np.ndarray:
-        return np.concatenate([
-            ir_matrix(series(spec, innovations(spec, min(step, paths - first), length, seed,
-                                               first)), ns, first)
-            for first in firsts[part]
-        ])
-
-    with sharded(score_blocks, len(firsts)) as run:
-        per_path = run()
+    with scored_paths(spec, ns, paths, length, seed) as score:
+        per_path = score(spec)
     ir_mean = per_path.mean(axis=0)
     if paths >= 2:
         ir_se = per_path.std(axis=0, ddof=1) / math.sqrt(paths)

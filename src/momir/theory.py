@@ -106,14 +106,14 @@ def _rho_sums(autocorr: Sequence[float], ns: np.ndarray) -> tuple[np.ndarray, np
 
     Both come from cumulative sums over the lags, for every N at once:
     S2 = 2 * sum_{d<N} (N-d) rho(d) = 2 * (N * C0(N-1) - C1(N-1)) with
-    C0(m) = sum_{d<=m} rho(d) and C1(m) = sum_{d<=m} d rho(d).
+    C0(m) = sum_{d<=m} rho(d) and C1(m) = sum_{d<=m} d rho(d).  Every rho past
+    the stored horizon K is zero, so C0(m) = C0(min(m, K)) and so is C1.
     """
-    rho = np.zeros(int(ns.max()))
-    k = min(len(autocorr), len(rho))
-    rho[:k] = autocorr[:k]
+    rho = np.asarray(autocorr, dtype=float)
     c0 = np.concatenate([[0.0], np.cumsum(rho)])
     c1 = np.concatenate([[0.0], np.cumsum(np.arange(1, len(rho) + 1) * rho)])
-    return c0[ns], 2.0 * (ns * c0[ns - 1] - c1[ns - 1])
+    m = np.minimum(ns - 1, len(rho))
+    return c0[np.minimum(ns, len(rho))], 2.0 * (ns * c0[m] - c1[m])
 
 
 def theory_curve(profile: MomentProfile, ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

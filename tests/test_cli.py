@@ -297,19 +297,22 @@ class TestSimulate:
 @pytest.mark.parametrize("target, loads", [("momir", []), ("momir.cli", None)],
                          ids=["momir", "momir.cli"])
 def test_cli_import_leaves_scipy_unloaded(target, loads):
-    # scipy is imported only by the fits that use it, and concurrent.futures
-    # only by the IR kernel's first threaded block, so every other command
-    # starts without paying for them; the package itself loads no module
+    # scipy is imported only by the fits that use it, and signal only by a
+    # call of strategy.sharded that forks, so every other command starts
+    # without paying for them; momir starts no thread pool, so
+    # concurrent.futures stays out too; the package itself loads no module
     src = str(Path(momir.__file__).resolve().parents[1])
     code = (f"import sys, {target}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print('concurrent.futures' in sys.modules); "
+            "print('signal' in sys.modules); "
             "print(sorted(m for m in sys.modules if m.startswith('momir.')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src))
-    scipy_modules, futures_loaded, momir_modules = done.stdout.splitlines()
+    scipy_modules, futures_loaded, signal_loaded, momir_modules = done.stdout.splitlines()
     assert scipy_modules == "[]"
     assert futures_loaded == "False"
+    assert signal_loaded == "False"
     if loads is not None:
         assert momir_modules == repr(loads)
 
@@ -364,7 +367,9 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
         ("ir --input {tmp}/nan.csv --n-max 5", None, "nan.csv, line 151: bad value 'nan'"),
         ("ir --input {tmp}/inf.csv --n-max 5", None, "inf.csv, line 151: bad value 'inf'"),
         ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed 1 --t-step 0", None,
-         "step"),
+         "--t-step 0"),
+        ("fit --input {curve} --model squarewave --mu-fixed 0.02 --seed 1 --t-min 1", None,
+         "--t-min 1, --t-max 260 and --t-step 10 give no period grid with periods >= 2"),
         ("ir --input {daily} --n-max 5", None, "daily.csv: median gap of 1 days"),
         ("regimes --input {monthly} --output-curve {tmp}/avg.csv", None,
          "monthly.csv: median gap of 31 days"),
@@ -405,7 +410,7 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
         (OVERFLOWING[2], None, "--mu-fixed 1e+307 and --sigma-fixed 1.5 give candidate series"),
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "inf-ir-cell", "nan-return",
-         "inf-return", "zero-t-step", "ir-daily-returns",
+         "inf-return", "zero-t-step", "period-below-two", "ir-daily-returns",
          "regimes-month-end-returns", "regimes-oversized-segmentation", "empty-lookback-range", "theory-bad-rho",
          "theory-oversized-n-max", "nan-fixed-sd",
          "nan-mu-fixed", "inf-mu-fixed", "nan-sigma-fixed", "fit-negative-seed",

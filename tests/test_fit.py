@@ -237,13 +237,13 @@ class TestFitSquareWave:
 
     def test_budget_exhaustion_raises(self, empirical, monkeypatch):
         # The budget caps scored candidates inside a period cell, not whole cells;
-        # each scored candidate is one call of the shards, made in this process.
+        # each scored candidate is one call of the scorer, made in this process.
         scored = []
-        sharded = fit_mod.sharded
+        scored_paths = fit_mod.scored_paths
 
         @contextlib.contextmanager
-        def counting_sharded(work, rows):
-            with sharded(work, rows) as run:
+        def counting_scored_paths(*args, **kwargs):
+            with scored_paths(*args, **kwargs) as run:
                 def counting_run(candidate):
                     scored.append(candidate)
                     return run(candidate)
@@ -251,7 +251,7 @@ class TestFitSquareWave:
                 yield counting_run
 
         monkeypatch.setattr(fit_mod, "MAX_EVALUATIONS", 3)
-        monkeypatch.setattr(fit_mod, "sharded", counting_sharded)
+        monkeypatch.setattr(fit_mod, "scored_paths", counting_scored_paths)
         # three periods, as many as the budget admits
         with pytest.raises(RuntimeError, match="budget"):
             fit_square_wave(

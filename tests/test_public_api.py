@@ -35,7 +35,7 @@ MODULE_ALL = {
     "simulate": [
         "IidGaussian", "McIrCurve", "MovingAverage", "ProcessSpec", "SquareWaveDrift",
         "innovations", "load_process_spec", "ma_from_target_acf", "mc_ir_curve", "path_rng",
-        "series", "theoretical_acf_of_ma", "write_mc_ir_curve_csv",
+        "scored_paths", "series", "theoretical_acf_of_ma", "write_mc_ir_curve_csv",
     ],
     "strategy": [
         "IrCurve", "PERIODS_PER_YEAR", "annualize", "backtest", "check_lookbacks", "ir_curve",

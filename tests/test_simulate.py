@@ -1,10 +1,12 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from momir import simulate as simulate_mod
+from momir import strategy
 from momir.simulate import (
     IidGaussian,
     InfeasibleTargets,
@@ -236,7 +238,8 @@ class TestMcIrCurve:
 
     def test_overflow_names_the_path(self):
         # Only path 239 overflows (each path checked alone); it is row 108 of
-        # the block that starts at path 131.
+        # the block that starts at path 131 in one process, and row 89 of the
+        # block that starts at path 150 on two.
         with pytest.raises(ValueError, match="payoff sd of row 239 at lookback 1 is inf"):
             mc_ir_curve(IidGaussian(0.0, 2.2e76), (1, 5), paths=300, length=500, seed=1)
 
@@ -269,6 +272,28 @@ class TestMcIrCurve:
         per_path = ir_matrix(series(spec, innovations(spec, paths, length, 13)), range(1, 21))
         np.testing.assert_array_equal(curve.ir_mean, per_path.mean(axis=0))
         np.testing.assert_array_equal(curve.ir_se, per_path.std(axis=0, ddof=1) / math.sqrt(paths))
+
+    def test_paths_are_cut_between_the_shards(self, monkeypatch):
+        # 200 paths of 2000 make 7 blocks of at most 32; the shards split the
+        # paths, not the blocks, so each of 2 scores 100
+        rows, parts = [], []
+        sharded, fork_shard = simulate_mod.sharded, strategy._fork_shard
+
+        def counting_sharded(work, n):
+            rows.append(n)
+            return sharded(work, n)
+
+        def counting_fork(work, part, cpu):
+            parts.append(part)
+            return fork_shard(work, part, cpu)
+
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+        monkeypatch.setattr(simulate_mod, "sharded", counting_sharded)
+        monkeypatch.setattr(strategy, "_fork_shard", counting_fork)
+        mc_ir_curve(IidGaussian(0.0, 1.0), (1, 3), paths=200, length=2000, seed=1)
+        assert rows == [200]
+        if hasattr(os, "fork"):
+            assert parts == [slice(0, 100), slice(100, 200)]
 
     def test_length_validation(self):
         with pytest.raises(ValueError, match="too short"):

@@ -434,8 +434,8 @@ class TestSharded:
             monkeypatch.setattr(strategy, "WORKERS", workers)
             with within(120):
                 mc, fits = run()
-            # the Monte Carlo curve's 3 blocks, then one shard per worker for each fit
-            assert len(forked) == min(workers, 3) + 2 * workers
+            # one shard per worker for the Monte Carlo curve's 25 paths and for each fit
+            assert len(forked) == 3 * workers
             assert reaped(forked)
             forked.clear()
             np.testing.assert_array_equal(mc.ir_mean, mc_one.ir_mean)

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from momir import theory
 from momir.theory import (
     MAX_THEORY_N,
     MomentProfile,
@@ -222,6 +224,43 @@ def test_oversized_theory_range_fails_before_it_is_built(tmp_path, n_range):
         tracemalloc.stop()
     assert peak < 2**20
     assert not out.exists()
+
+
+def padded_rho_sums(autocorr, ns):
+    """S1 and S2 from cumulative sums zero-padded to the largest lookback, as once computed."""
+    rho = np.zeros(int(ns.max()))
+    k = min(len(autocorr), len(rho))
+    rho[:k] = autocorr[:k]
+    c0 = np.concatenate([[0.0], np.cumsum(rho)])
+    c1 = np.concatenate([[0.0], np.cumsum(np.arange(1, len(rho) + 1) * rho)])
+    return c0[ns], 2.0 * (ns * c0[ns - 1] - c1[ns - 1])
+
+
+@pytest.mark.parametrize("autocorr", [(), (-0.0,), (-0.0, -0.0, -0.0), (0.3, -0.0, 0.1),
+                                      (0.1, -0.1), (0.2, -0.15, 0.05, 0.0, -0.0)])
+@pytest.mark.parametrize("mu", [0.4, -0.0, 0.0])
+def test_sums_clipped_at_the_stored_horizon_keep_the_padded_bits(monkeypatch, mu, autocorr):
+    # Lookbacks below, at and past K = len(autocorr); adding the padded
+    # zeros may flip the sign of a zero sum, but no output may change.
+    k = len(autocorr)
+    ns = np.array(sorted({1, 2, max(k - 1, 1), max(k, 1), k + 1, k + 2, 40}))
+    profile = MomentProfile(mu, 2.0, autocorr)
+    got = theory_curve(profile, ns)
+    monkeypatch.setattr(theory, "_rho_sums", padded_rho_sums)
+    for have, want in zip(got, theory_curve(profile, ns)):
+        assert have.tobytes() == want.tobytes()
+
+
+def test_closed_form_at_a_huge_lookback_allocates_nothing_of_its_size():
+    # zero-padded sums took 305 MiB at N = 10^7, with no autocorrelation stored
+    tracemalloc.start()
+    try:
+        mean, variance, ir = theory_curve(MomentProfile(0.4, 2.0), [10_000_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert ir[0] == pytest.approx(0.4 / math.sqrt(2.0), rel=1e-5)  # the drift-only limit
 
 
 def test_theory_range_up_to_the_cap_is_written(tmp_path):
