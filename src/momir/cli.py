@@ -214,9 +214,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _rho_list(text: str) -> tuple[float, ...]:
-    """``--rho`` as autocorrelations from lag 1; a cell that does not parse names its lag."""
+    """``--rho`` as autocorrelations from lag 1; a cell that does not parse names its lag.
+
+    At most :data:`momir.theory.MAX_LAGS` lags are taken.
+    """
+    cells = text.split(",")
+    if len(cells) > theory.MAX_LAGS:
+        raise ValueError(f"--rho gives {len(cells)} lags, over the limit of {theory.MAX_LAGS}")
     rho = []
-    for lag, cell in enumerate(text.split(","), start=1):
+    for lag, cell in enumerate(cells, start=1):
         try:
             rho.append(float(cell))
         except ValueError:

@@ -23,7 +23,7 @@ from .simulate import (
     IidGaussian, InfeasibleTargets, MovingAverage, SquareWaveDrift, ma_from_target_acf,
     scored_paths,
 )
-from .theory import MomentProfile, realizability_violation, theory_curve
+from .theory import MAX_LAGS, MomentProfile, realizability_violation, theory_curve
 from .timeseries import atomic_write_text
 
 __all__ = ["FitResult", "fit_moment_profile", "fit_square_wave", "write_fit_result_json"]
@@ -104,6 +104,8 @@ def fit_moment_profile(
         )
     if k_lags < 1:
         raise ValueError("k_lags must be >= 1")
+    if k_lags > MAX_LAGS:
+        raise ValueError(f"--k-lags {k_lags} exceeds the limit of {MAX_LAGS} lags")
     ns, irs = _curve_points(empirical)
     if len(ns) < k_lags + 1:
         raise ValueError(
@@ -189,7 +191,7 @@ def fit_square_wave(
     if sigma_fixed <= 0:
         raise ValueError("sigma_fixed must be positive")
     if paths < 2:
-        raise ValueError("paths must be >= 2")
+        raise ValueError(f"--paths must be >= 2 for the square-wave fit, got {paths}")
     t_min, t_max, t_step = (int(t) for t in t_range)
     grid = f"--t-min {t_min}, --t-max {t_max} and --t-step {t_step}"
     if not 2 <= t_min <= t_max or t_step < 1:

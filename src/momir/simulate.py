@@ -298,14 +298,14 @@ def scored_paths(template: ProcessSpec, ns: np.ndarray, paths: int, length: int,
     whole draw must fit :data:`MAX_DRAW_ELEMENTS`.
     """
     if paths < 1:
-        raise ValueError("paths must be >= 1")
+        raise ValueError(f"--paths must be >= 1, got {paths}")
     _width(template, length, paths if keep else 1)
     step = paths if keep else block_rows(length)
     kept = {}  # a kept part's first path -> (its draw, noise spec, noise series)
 
     def score(part: slice, spec: ProcessSpec) -> np.ndarray:
         noise = spec.noise if isinstance(spec, SquareWaveDrift) else spec
-        irs = []
+        irs = np.empty((part.stop - part.start, len(ns)))
         for first in range(part.start, part.stop, step):
             eta, built, x = kept.get(first) or (innovations(
                 template, min(step, part.stop - first), length, seed, first), None, None)
@@ -315,8 +315,8 @@ def scored_paths(template: ProcessSpec, ns: np.ndarray, paths: int, length: int,
                 kept[first] = (eta, noise, x)
             if noise is not spec:
                 x = drift(spec, x.shape[-1]) + x
-            irs.append(ir_matrix(x, ns, first))
-        return np.concatenate(irs)
+            irs[first - part.start:][:len(x)] = ir_matrix(x, ns, first)
+        return irs
 
     with sharded(score, paths) as run:
         yield run
@@ -333,17 +333,23 @@ def mc_ir_curve(
 
     The per-path IRs at every lookback in the range come from
     :func:`scored_paths`, streamed; the MC standard error is their
-    cross-path standard deviation over sqrt(paths).
+    cross-path standard deviation over sqrt(paths).  That table is the only
+    array here that grows with ``paths``, and it is held once: the squared
+    deviations are summed a row at a time, in the order, and so to the bits,
+    of ``np.std(axis=0, ddof=1)``.
     """
     ns = lookback_range(n_range, length)
     _check_budget(paths, len(ns), "per-path IRs", "--paths or --n-max")
     with scored_paths(spec, ns, paths, length, seed) as score:
         per_path = score(spec)
     ir_mean = per_path.mean(axis=0)
+    ir_se = np.zeros(len(ns))  # one path has no spread to report
     if paths >= 2:
-        ir_se = per_path.std(axis=0, ddof=1) / math.sqrt(paths)
-    else:
-        ir_se = np.zeros(per_path.shape[1])
+        squares = np.zeros(len(ns))
+        for row in per_path:
+            deviation = row - ir_mean
+            squares += deviation * deviation
+        ir_se = np.sqrt(squares / (paths - 1)) / math.sqrt(paths)
     return McIrCurve(
         n=ns,
         ir_mean=ir_mean,

@@ -179,28 +179,36 @@ def block_rows(length: int) -> int:
 def sharded(work: Callable[..., np.ndarray], rows: int) -> Iterator[Callable[..., np.ndarray]]:
     """Score ``rows`` independent rows on one pinned, forked process per CPU.
 
-    Yields ``run``: ``run(*args)`` stacks, in row order, the arrays
+    Yields ``run``: ``run(*args)`` returns, in row order, the arrays
     ``work(part, *args)`` of ``min(WORKERS, rows)`` shards, where ``part`` is
     the shard's slice of ``range(rows)``, cut as ``np.array_split`` cuts.
+    ``work`` must return a numeric array with one row per row of its part.
     The children are forked on entry, so they inherit every input made
     before it, and each call pipes only ``args`` and the results.  Child k
     runs on the k-th CPU this process may run on (a new process starts on
-    its parent's CPU and stays there for about a second).  A shard's
-    exception is raised here with its type and message, after every shard's
-    reply is read, so no child is left blocked on a full pipe; a child that
-    dies raises naming its shard.  Every child is killed and reaped on exit.
-    With one shard, or without ``os.fork``, ``work`` runs in this process.
-    momir starts no thread, so the fork copies no lock held by another.
+    its parent's CPU and stays there for about a second).  Each reply is a
+    pickled header, ``(error, None, None)`` or ``(None, shape, dtype)``,
+    followed in the second case by the array's raw bytes, which are read
+    straight into the shard's rows of the one array ``run`` returns.  A
+    shard's exception is raised here with its type and message, after every
+    shard's reply is read, so no child is left blocked on a full pipe; a
+    child that dies, or returns rows that do not fit its part, raises naming
+    its shard.  Every child is killed and reaped on exit.  With one shard,
+    or without ``os.fork``, ``work`` runs once in this process on all rows.
+    momir starts no thread, but numpy's OpenBLAS starts a pool unless
+    ``OPENBLAS_NUM_THREADS=1`` (the benchmark sets it).  A fork copies no
+    thread, only memory, the pool's locks included; the children call no
+    BLAS routine, so they never wait on such a lock.
     """
     shards = min(WORKERS, rows)
-    size, extra = divmod(rows, shards)
-    parts = [slice(k * size + min(k, extra), (k + 1) * size + min(k + 1, extra))
-             for k in range(shards)]
     if shards == 1 or not hasattr(os, "fork"):
-        yield lambda *args: np.concatenate([work(part, *args) for part in parts])
+        yield lambda *args: work(slice(0, rows), *args)
         return
     import signal  # only a forking call pays for its import
 
+    size, extra = divmod(rows, shards)
+    parts = [slice(k * size + min(k, extra), (k + 1) * size + min(k + 1, extra))
+             for k in range(shards)]
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     children: list[tuple[int, BinaryIO, BinaryIO]] = []
 
@@ -210,19 +218,31 @@ def sharded(work: Callable[..., np.ndarray], rows: int) -> Iterator[Callable[...
             with contextlib.suppress(BrokenPipeError):  # its reply reports the death
                 requests.write(request)
                 requests.flush()
-        results, errors = [], []
-        for k, (pid, _, replies) in enumerate(children):
+        out, errors = None, []
+        for k, ((pid, _, replies), part) in enumerate(zip(children, parts)):
+            shard = f"shard {k} of {shards} (pid {pid})"
             try:
-                error, result = pickle.load(replies)
+                error, shape, dtype = pickle.load(replies)
             except (EOFError, pickle.UnpicklingError):
-                error, result = RuntimeError(f"shard {k} of {shards} (pid {pid}) died before "
-                                             f"it replied: {_exit_status(pid)}"), None
+                error = shape = None
+            if shape is not None:
+                if out is None and shape[0] == part.stop - part.start:
+                    out = np.empty((rows, *shape[1:]), dtype)
+                if out is None or (out[part].shape, out.dtype) != (shape, dtype):
+                    replies.read(math.prod(shape) * dtype.itemsize)  # up to the next reply
+                    error = ValueError(
+                        f"{shard} returned a {dtype} array of shape {shape} for its "
+                        f"{part.stop - part.start} rows"
+                        + ("" if out is None else f" of a {out.dtype} result of shape {out.shape}"))
+                elif replies.readinto(memoryview(out[part]).cast("B")) < out[part].nbytes:
+                    shape = None  # the child died part way through its rows
+            if error is None and shape is None:
+                error = RuntimeError(f"{shard} died before it replied: {_exit_status(pid)}")
             errors.append(error)
-            results.append(result)
         for error in errors:
             if error is not None:
                 raise error
-        return np.concatenate(results)
+        return out
 
     try:
         for k, part in enumerate(parts):
@@ -262,17 +282,20 @@ def _fork_shard(work, part: slice, cpu: int | None) -> tuple[int, BinaryIO, Bina
 
 
 def _serve(work, part: slice, requests, replies) -> None:
-    """Reply ``(None, work(part, *args))`` or ``(exception, None)`` to each request until EOF."""
+    """Answer each request with :func:`sharded`'s reply to ``work(part, *args)``, until EOF."""
     while True:
         try:
             args = pickle.load(requests)
         except EOFError:
             return
         try:
-            reply = (None, work(part, *args))
+            result = np.ascontiguousarray(work(part, *args))
+            header = (None, result.shape, result.dtype)
         except Exception as exc:
-            reply = (exc, None)
-        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+            header = (exc, None, None)
+        pickle.dump(header, replies, pickle.HIGHEST_PROTOCOL)
+        if header[0] is None:
+            replies.write(memoryview(result).cast("B"))
         replies.flush()
 
 

@@ -47,6 +47,13 @@ PSD_TOLERANCE = 1e-10
 # with ``--n-max``.
 MAX_THEORY_N = 2**16
 
+# Most autocorrelations that ``theory --rho`` and ``fit --k-lags`` take.  The
+# realizability check decomposes a (K+1)x(K+1) matrix, and the stationary
+# fit does so in each of its thousands of residual evaluations: at K = 100
+# the fit took 1.4-4.5 s on three 400- to 2000-row curves, and at K = 200
+# 10.6 s on one and over 150 s on another (one BLAS thread).
+MAX_LAGS = 100
+
 
 def realizability_violation(autocorr: Sequence[float]) -> float:
     """How far the Toeplitz correlation matrix is from realizable; 0 when it is.

@@ -18,6 +18,7 @@ from momir import strategy
 from momir.cli import _build_parser, main
 from momir.regimes import weekly_segmentation
 from momir.strategy import IR_CURVE_HEADER, read_ir_curve_csv
+from momir.theory import MAX_LAGS
 from momir.timeseries import read_value_csv, write_series_csv
 
 
@@ -408,6 +409,14 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
         (OVERFLOWING[0], None, "payoff sd of row 0 at lookback 1 is inf"),
         (OVERFLOWING[1], None, "--mu-fixed 1e+80 and --sigma-fixed 1.5 give candidate series"),
         (OVERFLOWING[2], None, "--mu-fixed 1e+307 and --sigma-fixed 1.5 give candidate series"),
+        ("simulate --spec {spec} --n-max 3 --paths 0 --seed 1", None,
+         "--paths must be >= 1, got 0"),
+        ("fit --input {curve} --model squarewave --mu-fixed 0.02 --paths 1 --seed 1", None,
+         "--paths must be >= 2 for the square-wave fit, got 1"),
+        ("theory --mu 0.1 --variance 2.25 --rho " + ",".join(["0"] * (MAX_LAGS + 1))
+         + " --n-max 5", None, f"--rho gives {MAX_LAGS + 1} lags, over the limit of {MAX_LAGS}"),
+        (f"fit --input {{curve}} --model stationary --k-lags {MAX_LAGS + 1}", None,
+         f"--k-lags {MAX_LAGS + 1} exceeds the limit of {MAX_LAGS} lags"),
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "inf-ir-cell", "nan-return",
          "inf-return", "zero-t-step", "period-below-two", "ir-daily-returns",
@@ -419,7 +428,8 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "overflowing-mu-fixed", "overflowing-fixed-sd", "underflowing-fixed-sd",
          "fixed-sd-overflowing-closed-form", "oversized-period-grid",
          "simulate-overflowing-payoff-sd", "fit-overflowing-payoff-sd",
-         "fit-overflowing-prefix-sums"],
+         "fit-overflowing-prefix-sums", "simulate-zero-paths", "fit-one-path",
+         "theory-too-many-rho-lags", "fit-too-many-k-lags"],
 )
 def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, bad_row, needle):
     month_ends = [dt.date(1990 + m // 12, m % 12 + 1, 1) - dt.timedelta(days=1)

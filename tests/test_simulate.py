@@ -295,6 +295,22 @@ class TestMcIrCurve:
         if hasattr(os, "fork"):
             assert parts == [slice(0, 100), slice(100, 200)]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_caller_holds_the_per_path_table_once(self, monkeypatch, workers):
+        # 20000 paths x 100 lookbacks make a 16 MB table, about 5 times what
+        # one block of 546 paths of length 120 needs while it is scored
+        paths, lookbacks = 20000, 100
+        table = paths * lookbacks * 8
+        monkeypatch.setattr(strategy, "WORKERS", workers)
+        tracemalloc.start()
+        try:
+            mc_ir_curve(IidGaussian(0.03, 1.0), (1, lookbacks), paths=paths, length=120, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # on one process the caller also scores, one block at a time
+        assert peak <= (1.1 if workers > 1 and hasattr(os, "fork") else 1.3) * table
+
     def test_length_validation(self):
         with pytest.raises(ValueError, match="too short"):
             mc_ir_curve(IidGaussian(0.0, 1.0), (1, 50), paths=2, length=50, seed=0)

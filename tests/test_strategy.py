@@ -2,6 +2,8 @@ import contextlib
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 
 from momir import strategy
 from momir.fit import fit_square_wave
-from momir.simulate import IidGaussian, InfeasibleTargets, SquareWaveDrift, mc_ir_curve
+from momir.simulate import (
+    IidGaussian, InfeasibleTargets, SquareWaveDrift, innovations, mc_ir_curve, series,
+)
 from momir.strategy import (
     DEGENERATE_SD_RTOL,
     IR_BLOCK_ELEMENTS,
@@ -403,6 +407,66 @@ class TestSharded:
                                                    r"replied: killed by signal 9"):
                 run()
         assert reaped(forked)
+
+    @needs_fork
+    def test_a_child_killed_between_calls_raises_naming_its_shard(self, monkeypatch, forked):
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+        with within(60), strategy.sharded(lambda part: np.zeros((1, 4)), 2) as run:
+            run()
+            # child 1 is stopped after its reply, so the next request sits
+            # unread until the kill; `within` owns SIGALRM, so another process
+            # sends that kill
+            os.kill(forked[1], signal.SIGSTOP)
+            killer = subprocess.Popen([sys.executable, "-c", "import os, time; time.sleep(0.5); "
+                                       f"os.kill({forked[1]}, {int(signal.SIGKILL)})"])
+            try:
+                with pytest.raises(RuntimeError, match=rf"^shard 1 of 2 \(pid {forked[1]}\) died "
+                                                       r"before it replied: killed by signal 9$"):
+                    run()
+            finally:
+                killer.wait()
+        assert reaped(forked)
+
+    @needs_fork
+    @pytest.mark.parametrize("bad, needle", [
+        (0, r"^shard 0 of 2 \(pid \d+\) returned a float64 array of shape \(16386, 3\) for "
+            r"its 2 rows$"),
+        (1, r"^shard 1 of 2 \(pid \d+\) returned a float64 array of shape \(16386, 3\) for "
+            r"its 2 rows of a float64 result of shape \(4, 3\)$"),
+    ], ids=["before-the-result-is-made", "after"])
+    def test_rows_that_do_not_fit_a_shard_fail_naming_it(self, monkeypatch, forked, bad,
+                                                         needle):
+        # the wrong reply (16386 rows, 393 kB) is more than a pipe holds, and
+        # reading the living child's exit status would block until it exits
+        monkeypatch.setattr(strategy, "WORKERS", 2)
+        monkeypatch.setattr(strategy, "_exit_status", lambda pid: pytest.fail("waited on a child"))
+
+        def work(part, extra):
+            return np.full((2 + (extra if part.start == 2 * bad else 0), 3), part.start / 2)
+
+        with within(60), strategy.sharded(work, 4) as run:
+            with pytest.raises(ValueError, match=needle):
+                run(2**14)
+            # the stream stays in step, so the next call reads whole replies
+            assert run(0).tolist() == [[0.0] * 3] * 2 + [[1.0] * 3] * 2
+        assert reaped(forked)
+
+    @pytest.mark.parametrize("paths", [1, 2, 7])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0], ids=["undefined-irs", "defined-irs"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo_se_is_numpy_std_bit_for_bit(self, monkeypatch, workers, sigma, paths):
+        # sigma 0 gives constant paths, whose payoff sd vanishes: every IR is NaN
+        monkeypatch.setattr(strategy, "WORKERS", workers)
+        spec = IidGaussian(0.03, sigma)
+        curve = mc_ir_curve(spec, (1, 6), paths=paths, length=200, seed=4)
+        per_path = ir_matrix(series(spec, innovations(spec, paths, 200, 4)), range(1, 7))
+        assert np.isnan(per_path).all() == (sigma == 0.0)
+        if paths == 1:  # one path has no spread: the standard error is 0, not NaN
+            want = np.zeros(6)
+        else:
+            want = per_path.std(axis=0, ddof=1) / math.sqrt(paths)
+        assert curve.ir_se.tobytes() == want.tobytes()
+        assert curve.ir_mean.tobytes() == per_path.mean(axis=0).tobytes()
 
     @needs_fork
     def test_an_error_in_the_caller_reaps_every_child(self, monkeypatch, forked):
