@@ -23,7 +23,7 @@ from .simulate import (
     IidGaussian, InfeasibleTargets, MovingAverage, SquareWaveDrift, ma_from_target_acf,
     scored_paths,
 )
-from .theory import MAX_LAGS, MomentProfile, realizability_violation, theory_curve
+from .theory import MAX_LAGS, MAX_THEORY_N, MomentProfile, realizability_violation, theory_curve
 from .timeseries import atomic_write_text
 
 __all__ = ["FitResult", "fit_moment_profile", "fit_square_wave", "write_fit_result_json"]
@@ -94,7 +94,9 @@ def fit_moment_profile(
     level) * fixed_sd and all autocorrelations zero, with each
     autocorrelation bounded to [-1, 1].  Unrealizable correlation sequences
     get a large residual that grows with the violation.  ``iterations``
-    counts every residual evaluation, finite-difference ones included.
+    counts every residual evaluation, finite-difference ones included.  The
+    solve's time and memory grow with the curve's defined points, so at most
+    :data:`momir.theory.MAX_THEORY_N` are taken.
     """
     variance = fixed_sd * fixed_sd
     if not (fixed_sd > 0 and np.finfo(float).tiny <= variance * variance < np.inf):
@@ -107,10 +109,9 @@ def fit_moment_profile(
     if k_lags > MAX_LAGS:
         raise ValueError(f"--k-lags {k_lags} exceeds the limit of {MAX_LAGS} lags")
     ns, irs = _curve_points(empirical)
-    if len(ns) < k_lags + 1:
-        raise ValueError(
-            f"curve has {len(ns)} usable points; need more than k_lags={k_lags}"
-        )
+    if not k_lags < len(ns) <= MAX_THEORY_N:
+        raise ValueError(f"curve has {len(ns)} usable points; need more than "
+                         f"k_lags={k_lags} and at most {MAX_THEORY_N}")
     _warn_if_overfitting(len(ns), k_lags + 1)
     from scipy import optimize
 

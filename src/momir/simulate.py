@@ -289,13 +289,14 @@ def scored_paths(template: ProcessSpec, ns: np.ndarray, paths: int, length: int,
                  keep: bool = False) -> Iterator[Callable[[ProcessSpec], np.ndarray]]:
     """Yield ``score(spec)``: every path's IRs at ``ns`` on ``spec``, (paths, len(ns)).
 
-    Path k's series is :func:`series` of ``spec`` on path k's draw, sized by
+    The table ``score`` returns is valid until its next call.  Path k's
+    series is :func:`series` of ``spec`` on path k's draw, sized by
     ``template``.  Each of :func:`momir.strategy.sharded`'s shards draws,
-    builds and scores its own part of the paths: streamed, a block of
-    :func:`momir.strategy.block_rows` at a time, each dropped once scored;
-    with ``keep``, drawn whole once and kept across calls (common random
-    numbers), with its noise series while the noise spec repeats, so the
-    whole draw must fit :data:`MAX_DRAW_ELEMENTS`.
+    builds and scores its own part of the paths into its rows of the table:
+    streamed, a block of :func:`momir.strategy.block_rows` at a time, each
+    dropped once scored; with ``keep``, drawn whole once and kept across
+    calls (common random numbers), with its noise series while the noise
+    spec repeats, so the whole draw must fit :data:`MAX_DRAW_ELEMENTS`.
     """
     if paths < 1:
         raise ValueError(f"--paths must be >= 1, got {paths}")
@@ -303,9 +304,8 @@ def scored_paths(template: ProcessSpec, ns: np.ndarray, paths: int, length: int,
     step = paths if keep else block_rows(length)
     kept = {}  # a kept part's first path -> (its draw, noise spec, noise series)
 
-    def score(part: slice, spec: ProcessSpec) -> np.ndarray:
+    def score(part: slice, out: np.ndarray, spec: ProcessSpec) -> None:
         noise = spec.noise if isinstance(spec, SquareWaveDrift) else spec
-        irs = np.empty((part.stop - part.start, len(ns)))
         for first in range(part.start, part.stop, step):
             eta, built, x = kept.get(first) or (innovations(
                 template, min(step, part.stop - first), length, seed, first), None, None)
@@ -315,10 +315,9 @@ def scored_paths(template: ProcessSpec, ns: np.ndarray, paths: int, length: int,
                 kept[first] = (eta, noise, x)
             if noise is not spec:
                 x = drift(spec, x.shape[-1]) + x
-            irs[first - part.start:][:len(x)] = ir_matrix(x, ns, first)
-        return irs
+            out[first - part.start:][:len(x)] = ir_matrix(x, ns, first)
 
-    with sharded(score, paths) as run:
+    with sharded(score, paths, len(ns)) as run:
         yield run
 
 

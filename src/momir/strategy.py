@@ -148,11 +148,14 @@ def backtest(x, n: int) -> np.ndarray:
     return next(_payoffs(values, check_lookbacks([n], len(values))))
 
 
-def ir_standard_error(samples: int) -> float:
-    """Annualized 95% half-width for an estimated IR: Z95 * sqrt(PERIODS_PER_YEAR / samples)."""
-    if samples < 1:
+def ir_standard_error(samples):
+    """Annualized 95% half-width for an estimated IR: Z95 * sqrt(PERIODS_PER_YEAR / samples).
+
+    ``samples`` is one count or an array of them, each at least 1.
+    """
+    if np.min(samples) < 1:
         raise ValueError("samples must be >= 1")
-    return annualize(Z95) / math.sqrt(samples)
+    return annualize(Z95) / np.sqrt(samples)
 
 
 # Payoff spreads below this fraction of the mean are indistinguishable from a
@@ -176,36 +179,42 @@ def block_rows(length: int) -> int:
 
 
 @contextlib.contextmanager
-def sharded(work: Callable[..., np.ndarray], rows: int) -> Iterator[Callable[..., np.ndarray]]:
-    """Score ``rows`` independent rows on one pinned, forked process per CPU.
+def sharded(work: Callable[..., None], rows: int, width: int) -> Iterator[Callable]:
+    """Fill one float64 (``rows``, ``width``) table on one pinned, forked process per CPU.
 
-    Yields ``run``: ``run(*args)`` returns, in row order, the arrays
-    ``work(part, *args)`` of ``min(WORKERS, rows)`` shards, where ``part`` is
-    the shard's slice of ``range(rows)``, cut as ``np.array_split`` cuts.
-    ``work`` must return a numeric array with one row per row of its part.
-    The children are forked on entry, so they inherit every input made
-    before it, and each call pipes only ``args`` and the results.  Child k
-    runs on the k-th CPU this process may run on (a new process starts on
-    its parent's CPU and stays there for about a second).  Each reply is a
-    pickled header, ``(error, None, None)`` or ``(None, shape, dtype)``,
-    followed in the second case by the array's raw bytes, which are read
-    straight into the shard's rows of the one array ``run`` returns.  A
-    shard's exception is raised here with its type and message, after every
-    shard's reply is read, so no child is left blocked on a full pipe; a
-    child that dies, or returns rows that do not fit its part, raises naming
-    its shard.  Every child is killed and reaped on exit.  With one shard,
-    or without ``os.fork``, ``work`` runs once in this process on all rows.
+    Yields ``run``: ``run(*args)`` calls ``work(part, table[part], *args)``,
+    which fills its rows in place, for each of ``min(WORKERS, rows)`` shards,
+    ``part`` being the shard's slice of ``range(rows)`` as ``np.array_split``
+    cuts it, and returns the table, valid until the next call.  The table is
+    a shared anonymous mapping made before the fork, so the children inherit
+    it and every input made before entry, and each call pipes only ``args``
+    down and a pickled exception or ``None`` back.  Child k runs on the k-th
+    CPU this process may run on (a new process starts on its parent's CPU
+    and stays there for about a second).  A shard's exception is raised here
+    with its type and message after every shard has replied, so no child is
+    left blocked on a full pipe; a child that dies raises naming its shard.
+    Every child is killed and reaped on exit.  With one shard, or without
+    ``os.fork``, ``work`` runs once in this process on a plain array.
     momir starts no thread, but numpy's OpenBLAS starts a pool unless
-    ``OPENBLAS_NUM_THREADS=1`` (the benchmark sets it).  A fork copies no
-    thread, only memory, the pool's locks included; the children call no
-    BLAS routine, so they never wait on such a lock.
+    ``OPENBLAS_NUM_THREADS=1`` (the benchmark sets it), and a fork copies
+    the pool's locks but no thread.  The children do call BLAS: for
+    moving-average noise ``simulate.series`` calls ``np.convolve``, which
+    takes each output from the float64 dot, ``cblas_ddot``.
     """
     shards = min(WORKERS, rows)
     if shards == 1 or not hasattr(os, "fork"):
-        yield lambda *args: work(slice(0, rows), *args)
-        return
-    import signal  # only a forking call pays for its import
+        table = np.empty((rows, width))
 
+        def run_here(*args) -> np.ndarray:
+            work(slice(0, rows), table, *args)
+            return table
+
+        yield run_here
+        return
+    import mmap  # only a forking call pays for these imports
+    import signal
+
+    table = np.frombuffer(mmap.mmap(-1, rows * width * 8)).reshape(rows, width)
     size, extra = divmod(rows, shards)
     parts = [slice(k * size + min(k, extra), (k + 1) * size + min(k + 1, extra))
              for k in range(shards)]
@@ -218,35 +227,22 @@ def sharded(work: Callable[..., np.ndarray], rows: int) -> Iterator[Callable[...
             with contextlib.suppress(BrokenPipeError):  # its reply reports the death
                 requests.write(request)
                 requests.flush()
-        out, errors = None, []
-        for k, ((pid, _, replies), part) in enumerate(zip(children, parts)):
-            shard = f"shard {k} of {shards} (pid {pid})"
+        errors = []
+        for k, (pid, _, replies) in enumerate(children):
             try:
-                error, shape, dtype = pickle.load(replies)
+                errors.append(pickle.load(replies))
             except (EOFError, pickle.UnpicklingError):
-                error = shape = None
-            if shape is not None:
-                if out is None and shape[0] == part.stop - part.start:
-                    out = np.empty((rows, *shape[1:]), dtype)
-                if out is None or (out[part].shape, out.dtype) != (shape, dtype):
-                    replies.read(math.prod(shape) * dtype.itemsize)  # up to the next reply
-                    error = ValueError(
-                        f"{shard} returned a {dtype} array of shape {shape} for its "
-                        f"{part.stop - part.start} rows"
-                        + ("" if out is None else f" of a {out.dtype} result of shape {out.shape}"))
-                elif replies.readinto(memoryview(out[part]).cast("B")) < out[part].nbytes:
-                    shape = None  # the child died part way through its rows
-            if error is None and shape is None:
-                error = RuntimeError(f"{shard} died before it replied: {_exit_status(pid)}")
-            errors.append(error)
+                errors.append(RuntimeError(f"shard {k} of {shards} (pid {pid}) died before it "
+                                           f"replied: {_exit_status(pid)}"))
         for error in errors:
             if error is not None:
                 raise error
-        return out
+        return table
 
     try:
         for k, part in enumerate(parts):
-            children.append(_fork_shard(work, part, cpus[k % len(cpus)] if cpus else None))
+            children.append(_fork_shard(work, part, table[part],
+                                        cpus[k % len(cpus)] if cpus else None))
         yield run
     finally:
         for pid, requests, replies in children:
@@ -257,8 +253,8 @@ def sharded(work: Callable[..., np.ndarray], rows: int) -> Iterator[Callable[...
             os.waitpid(pid, 0)
 
 
-def _fork_shard(work, part: slice, cpu: int | None) -> tuple[int, BinaryIO, BinaryIO]:
-    """Fork one child that answers each pickled ``args`` with ``work(part, *args)``.
+def _fork_shard(work, part: slice, out, cpu: int | None) -> tuple[int, BinaryIO, BinaryIO]:
+    """Fork one child that answers each pickled ``args`` by calling ``work(part, out, *args)``.
 
     Returns its pid, the file its requests go to and the file its replies come from.
     """
@@ -272,7 +268,7 @@ def _fork_shard(work, part: slice, cpu: int | None) -> tuple[int, BinaryIO, Bina
             os.close(reply_in)
             if cpu is not None:
                 os.sched_setaffinity(0, {cpu})
-            _serve(work, part, os.fdopen(request_in, "rb"), os.fdopen(reply_out, "wb"))
+            _serve(work, part, out, os.fdopen(request_in, "rb"), os.fdopen(reply_out, "wb"))
             code = 0
         finally:
             os._exit(code)  # the child never returns into its parent's stack
@@ -281,21 +277,19 @@ def _fork_shard(work, part: slice, cpu: int | None) -> tuple[int, BinaryIO, Bina
     return pid, os.fdopen(request_out, "wb"), os.fdopen(reply_in, "rb")
 
 
-def _serve(work, part: slice, requests, replies) -> None:
-    """Answer each request with :func:`sharded`'s reply to ``work(part, *args)``, until EOF."""
+def _serve(work, part: slice, out: np.ndarray, requests, replies) -> None:
+    """Answer each request with ``work(part, out, *args)``'s exception or ``None``, until EOF."""
     while True:
         try:
             args = pickle.load(requests)
         except EOFError:
             return
         try:
-            result = np.ascontiguousarray(work(part, *args))
-            header = (None, result.shape, result.dtype)
+            work(part, out, *args)
+            error = None
         except Exception as exc:
-            header = (exc, None, None)
-        pickle.dump(header, replies, pickle.HIGHEST_PROTOCOL)
-        if header[0] is None:
-            replies.write(memoryview(result).cast("B"))
+            error = exc
+        pickle.dump(error, replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
 
 
@@ -356,9 +350,9 @@ def ir_curve(x, n_range: tuple[int, int]) -> IrCurve:
     values = _finite(x, "an IR curve")
     ns = lookback_range(n_range, len(values))
     samples = len(values) - ns
-    stderr = [ir_standard_error(int(s)) for s in samples]
     mean, sd, ir = (v[0] for v in _ir_stats(values[None, :], ns))
-    return IrCurve(n=ns, mean=mean, sd=sd, ir=ir, stderr=stderr, samples=samples)
+    return IrCurve(n=ns, mean=mean, sd=sd, ir=ir, stderr=ir_standard_error(samples),
+                   samples=samples)
 
 
 def annualize(ir_per_period):

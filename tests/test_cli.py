@@ -18,7 +18,7 @@ from momir import strategy
 from momir.cli import _build_parser, main
 from momir.regimes import weekly_segmentation
 from momir.strategy import IR_CURVE_HEADER, read_ir_curve_csv
-from momir.theory import MAX_LAGS
+from momir.theory import MAX_LAGS, MAX_THEORY_N
 from momir.timeseries import read_value_csv, write_series_csv
 
 
@@ -298,22 +298,22 @@ class TestSimulate:
 @pytest.mark.parametrize("target, loads", [("momir", []), ("momir.cli", None)],
                          ids=["momir", "momir.cli"])
 def test_cli_import_leaves_scipy_unloaded(target, loads):
-    # scipy is imported only by the fits that use it, and signal only by a
-    # call of strategy.sharded that forks, so every other command starts
+    # scipy is imported only by the fits that use it, and signal and mmap only
+    # by a call of strategy.sharded that forks, so every other command starts
     # without paying for them; momir starts no thread pool, so
     # concurrent.futures stays out too; the package itself loads no module
     src = str(Path(momir.__file__).resolve().parents[1])
     code = (f"import sys, {target}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print('concurrent.futures' in sys.modules); "
-            "print('signal' in sys.modules); "
+            "print('signal' in sys.modules, 'mmap' in sys.modules); "
             "print(sorted(m for m in sys.modules if m.startswith('momir.')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src))
     scipy_modules, futures_loaded, signal_loaded, momir_modules = done.stdout.splitlines()
     assert scipy_modules == "[]"
     assert futures_loaded == "False"
-    assert signal_loaded == "False"
+    assert signal_loaded == "False False"
     if loads is not None:
         assert momir_modules == repr(loads)
 
@@ -417,6 +417,9 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          + " --n-max 5", None, f"--rho gives {MAX_LAGS + 1} lags, over the limit of {MAX_LAGS}"),
         (f"fit --input {{curve}} --model stationary --k-lags {MAX_LAGS + 1}", None,
          f"--k-lags {MAX_LAGS + 1} exceeds the limit of {MAX_LAGS} lags"),
+        ("fit --input {tmp}/big.csv --model stationary --k-lags 1", None,
+         f"curve has {MAX_THEORY_N + 1} usable points; need more than k_lags=1 and at most "
+         f"{MAX_THEORY_N}"),
     ],
     ids=["truncated-row", "non-numeric-cell", "non-integer-n", "inf-ir-cell", "nan-return",
          "inf-return", "zero-t-step", "period-below-two", "ir-daily-returns",
@@ -429,7 +432,7 @@ CURVE_ROWS = ["1,0.01,1,0.01,0.0721,0.098,399", "2,0.02,1,0.02,0.144,0.098,398",
          "fixed-sd-overflowing-closed-form", "oversized-period-grid",
          "simulate-overflowing-payoff-sd", "fit-overflowing-payoff-sd",
          "fit-overflowing-prefix-sums", "simulate-zero-paths", "fit-one-path",
-         "theory-too-many-rho-lags", "fit-too-many-k-lags"],
+         "theory-too-many-rho-lags", "fit-too-many-k-lags", "fit-too-many-curve-points"],
 )
 def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, bad_row, needle):
     month_ends = [dt.date(1990 + m // 12, m % 12 + 1, 1) - dt.timedelta(days=1)
@@ -452,6 +455,9 @@ def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, b
         rows[1] = bad_row
     curve = tmp_path / "ir.csv"
     curve.write_text("\n".join([",".join(IR_CURVE_HEADER), *rows]) + "\n")
+    # one defined point more than the stationary fit takes
+    (tmp_path / "big.csv").write_text(",".join(IR_CURVE_HEADER) + "\n" + "".join(
+        f"{n},0.01,1,0.01,0.0721,0.098,{10**6 - n}\n" for n in range(1, MAX_THEORY_N + 2)))
     spec = tmp_path / "spec.json"
     spec.write_text(IID_UNIT_SPEC)
     (tmp_path / "huge.json").write_text(
@@ -470,8 +476,8 @@ def test_bad_input_fails_naming_the_cause(tmp_path, capsys, monkeypatch, argv, b
     assert len(err) == 1 and err[0].startswith("error:")
     assert needle in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "daily.csv", "huge.json", "inf.csv", "ir.csv", "long.csv", "monthly.csv", "nan.csv",
-        "spec.json"]
+        "big.csv", "daily.csv", "huge.json", "inf.csv", "ir.csv", "long.csv", "monthly.csv",
+        "nan.csv", "spec.json"]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import tracemalloc
@@ -279,13 +280,13 @@ class TestMcIrCurve:
         rows, parts = [], []
         sharded, fork_shard = simulate_mod.sharded, strategy._fork_shard
 
-        def counting_sharded(work, n):
+        def counting_sharded(work, n, width):
             rows.append(n)
-            return sharded(work, n)
+            return sharded(work, n, width)
 
-        def counting_fork(work, part, cpu):
+        def counting_fork(work, part, out, cpu):
             parts.append(part)
-            return fork_shard(work, part, cpu)
+            return fork_shard(work, part, out, cpu)
 
         monkeypatch.setattr(strategy, "WORKERS", 2)
         monkeypatch.setattr(simulate_mod, "sharded", counting_sharded)
@@ -302,14 +303,30 @@ class TestMcIrCurve:
         paths, lookbacks = 20000, 100
         table = paths * lookbacks * 8
         monkeypatch.setattr(strategy, "WORKERS", workers)
+        tables = []
+        scored_paths = simulate_mod.scored_paths
+
+        @contextlib.contextmanager
+        def recording(*args):
+            with scored_paths(*args) as score:
+                def keep(spec):
+                    tables.append(score(spec))
+                    return tables[-1]
+
+                yield keep
+
+        monkeypatch.setattr(simulate_mod, "scored_paths", recording)
         tracemalloc.start()
         try:
             mc_ir_curve(IidGaussian(0.03, 1.0), (1, lookbacks), paths=paths, length=120, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # on one process the caller also scores, one block at a time
-        assert peak <= (1.1 if workers > 1 and hasattr(os, "fork") else 1.3) * table
+        assert [t.nbytes for t in tables] == [table]
+        # tracemalloc does not see the children's shared table, so the caller
+        # traces only what it adds; on one process it also scores, one block
+        # at a time, into a table on its own heap
+        assert peak <= (0.1 if workers > 1 and hasattr(os, "fork") else 1.3) * table
 
     def test_length_validation(self):
         with pytest.raises(ValueError, match="too short"):

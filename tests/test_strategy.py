@@ -337,11 +337,11 @@ class TestSharded:
             x[3] = 0.5
         ns = np.array([1, 2, 3, 5, 8, 13, 21, 34, 50, 299, 300])
 
-        def stats(part):
-            return np.concatenate(_ir_stats(x[part], ns), axis=1)
+        def stats(part, out):
+            out[:] = np.concatenate(_ir_stats(x[part], ns), axis=1)
 
         monkeypatch.setattr(strategy, "WORKERS", workers)
-        with within(60), strategy.sharded(stats, rows) as run:
+        with within(60), strategy.sharded(stats, rows, 3 * len(ns)) as run:
             got = np.split(run(), 3, axis=1)
         assert len(forked) == (min(workers, rows) if workers > 1 else 0)
         assert reaped(forked)
@@ -359,10 +359,10 @@ class TestSharded:
         cpus = sorted(os.sched_getaffinity(0))
         monkeypatch.setattr(strategy, "WORKERS", 3)
 
-        def where(part):
-            return np.array([[part.start, os.getpid(), *sorted(os.sched_getaffinity(0))]])
+        def where(part, out):
+            out[:] = [[part.start, os.getpid(), *sorted(os.sched_getaffinity(0))]]
 
-        with within(60), strategy.sharded(where, 3) as run:
+        with within(60), strategy.sharded(where, 3, 3) as run:
             got = run()
         assert got[:, 0].tolist() == [0, 1, 2]
         assert got[:, 1].tolist() == forked
@@ -372,22 +372,26 @@ class TestSharded:
 
     def test_one_worker_scores_in_process(self, monkeypatch, forked):
         monkeypatch.setattr(strategy, "WORKERS", 1)
-        with strategy.sharded(lambda part, k: np.array([[os.getpid(), k]]), 4) as run:
-            assert run(7).tolist() == [[os.getpid(), 7]]
+
+        def work(part, out, k):
+            out[:] = [os.getpid(), k]
+
+        with strategy.sharded(work, 4, 2) as run:
+            assert run(7).tolist() == [[os.getpid(), 7]] * 4
         assert not forked
 
     @needs_fork
     def test_a_shard_error_is_raised_after_every_reply_is_read(self, monkeypatch, forked):
-        # shard 1 answers with about 1 MB, more than a pipe holds, after shard 0 fails
+        # shard 1 fills its 1 MB row and replies after shard 0 fails
         monkeypatch.setattr(strategy, "WORKERS", 2)
 
-        def work(part):
+        def work(part, out):
             if not part.start:
                 raise InfeasibleTargets("shard 0 says no")
             time.sleep(0.2)
-            return np.zeros((1, 2**17))
+            out[:] = 0.0
 
-        with within(60), strategy.sharded(work, 2) as run:
+        with within(60), strategy.sharded(work, 2, 2**17) as run:
             with pytest.raises(InfeasibleTargets, match="^shard 0 says no$"):
                 run()
             assert len(forked) == 2
@@ -397,12 +401,12 @@ class TestSharded:
     def test_a_killed_child_raises_naming_its_shard(self, monkeypatch, forked):
         monkeypatch.setattr(strategy, "WORKERS", 2)
 
-        def work(part):
+        def work(part, out):
             if part.start:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return np.zeros((1, 2**17))
+            out[:] = 0.0
 
-        with within(60), strategy.sharded(work, 2) as run:
+        with within(60), strategy.sharded(work, 2, 2**17) as run:
             with pytest.raises(RuntimeError, match=r"shard 1 of 2 \(pid \d+\) died before it "
                                                    r"replied: killed by signal 9"):
                 run()
@@ -411,7 +415,7 @@ class TestSharded:
     @needs_fork
     def test_a_child_killed_between_calls_raises_naming_its_shard(self, monkeypatch, forked):
         monkeypatch.setattr(strategy, "WORKERS", 2)
-        with within(60), strategy.sharded(lambda part: np.zeros((1, 4)), 2) as run:
+        with within(60), strategy.sharded(lambda part, out: None, 2, 4) as run:
             run()
             # child 1 is stopped after its reply, so the next request sits
             # unread until the kill; `within` owns SIGALRM, so another process
@@ -428,28 +432,37 @@ class TestSharded:
         assert reaped(forked)
 
     @needs_fork
-    @pytest.mark.parametrize("bad, needle", [
-        (0, r"^shard 0 of 2 \(pid \d+\) returned a float64 array of shape \(16386, 3\) for "
-            r"its 2 rows$"),
-        (1, r"^shard 1 of 2 \(pid \d+\) returned a float64 array of shape \(16386, 3\) for "
-            r"its 2 rows of a float64 result of shape \(4, 3\)$"),
-    ], ids=["before-the-result-is-made", "after"])
-    def test_rows_that_do_not_fit_a_shard_fail_naming_it(self, monkeypatch, forked, bad,
-                                                         needle):
-        # the wrong reply (16386 rows, 393 kB) is more than a pipe holds, and
-        # reading the living child's exit status would block until it exits
+    def test_a_wrongly_shaped_row_block_fails_in_its_shard(self, monkeypatch, forked):
+        # the shard's own assignment fails; the child lives on, and reading a
+        # living child's exit status would block until it exits
         monkeypatch.setattr(strategy, "WORKERS", 2)
         monkeypatch.setattr(strategy, "_exit_status", lambda pid: pytest.fail("waited on a child"))
 
-        def work(part, extra):
-            return np.full((2 + (extra if part.start == 2 * bad else 0), 3), part.start / 2)
+        def work(part, out, extra):
+            out[:] = np.full((2 + (extra if part.start else 0), 3), part.start / 2)
 
-        with within(60), strategy.sharded(work, 4) as run:
-            with pytest.raises(ValueError, match=needle):
-                run(2**14)
-            # the stream stays in step, so the next call reads whole replies
+        with within(60), strategy.sharded(work, 4, 3) as run:
+            with pytest.raises(ValueError, match=r"^could not broadcast input array from shape "
+                                                 r"\(5,3\) into shape \(2,3\)$"):
+                run(3)
+            # the next call fills every row again
             assert run(0).tolist() == [[0.0] * 3] * 2 + [[1.0] * 3] * 2
         assert reaped(forked)
+
+    @needs_fork
+    def test_every_call_lands_whole_in_the_table(self, monkeypatch, forked):
+        # more children than most hosts have CPUs, so they share them; a stale
+        # or lost write of any of the 200 calls fails the check of that call
+        monkeypatch.setattr(strategy, "WORKERS", 5)
+        rows = np.arange(13.0)[:, None] + np.zeros(4)
+
+        def work(part, out, c):
+            out[:] = rows[part] + 1000.0 * c
+
+        with within(60), strategy.sharded(work, len(rows), 4) as run:
+            for c in range(200):
+                np.testing.assert_array_equal(run(c), rows + 1000.0 * c)
+        assert len(forked) == 5 and reaped(forked)
 
     @pytest.mark.parametrize("paths", [1, 2, 7])
     @pytest.mark.parametrize("sigma", [0.0, 1.0], ids=["undefined-irs", "defined-irs"])
@@ -472,7 +485,7 @@ class TestSharded:
     def test_an_error_in_the_caller_reaps_every_child(self, monkeypatch, forked):
         monkeypatch.setattr(strategy, "WORKERS", 2)
         with within(60), pytest.raises(KeyError):
-            with strategy.sharded(lambda part: np.zeros((1, 1)), 2):
+            with strategy.sharded(lambda part, out: None, 2, 1):
                 raise KeyError("the caller's own error")
         assert len(forked) == 2 and reaped(forked)
 
@@ -533,6 +546,13 @@ class TestAnnualize:
 
     def test_standard_error_rule(self):
         assert ir_standard_error(117) == pytest.approx(1.3067, abs=5e-4)
+
+    def test_standard_error_of_an_array_is_the_scalar_rule_bit_for_bit(self):
+        samples = np.arange(1, 2_000_001)
+        want = np.array([annualize(1.96) / math.sqrt(s) for s in samples.tolist()])
+        assert ir_standard_error(samples).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ir_standard_error(np.array([5, 0, 3]))
 
 
 class TestIrStandardErrorCoverage:
